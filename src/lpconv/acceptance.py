@@ -16,10 +16,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .convolution import (ConvolutionContext, _rational_rref,
-                          convolver_algebra, convolver_basis_exact)
+from .convolution import (ConvolutionContext, convolver_algebra,
+                          convolver_basis_exact)
 from .errors import P2Unsupported
-from .groups import is_isomorphic, zoo
+from .groups import FiniteGroup, generating_sequence, is_isomorphic, zoo
 from .isometry import (LampertiForm, LpContext, Operator, clarkson_gap,
                        lamperti_decompose, lamperti_distance, lamperti_operator)
 from .measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
@@ -256,12 +256,70 @@ def _flatten_exact(mat) -> list[Fraction]:
     return [v for row in mat for v in row]
 
 
+def _rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    rows = [row[:] for row in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1, 1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    rref, pivots = _rational_rref(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rref[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _commutant_constraints(group: FiniteGroup) -> list[list[Fraction]]:
+    """Rows X[x, y t^-1] - X[x t, y] of X R_t = R_t X over a generating set."""
+    n = group.order
+    rows = []
+    for t in generating_sequence(group) or [group.identity]:
+        t_inv = group.inv(t)
+        for x in range(n):
+            for y in range(n):
+                row = [Fraction(0)] * (n * n)
+                row[x * n + group.mul(y, t_inv)] += 1
+                row[group.mul(x, t) * n + y] -= 1
+                rows.append(row)
+    return rows
+
+
 def criterion_7(seed: int = 0) -> CriterionResult:
-    """Exact rational check: commutant dimension and span equality for the zoo."""
+    """Exact rational check: the orbit basis against the rational nullspace of
+    the commutant constraints, its dimension and span equality for the zoo."""
     failures = []
     for name, g in zoo():
         n = g.order
         cv = convolver_basis_exact(g)
+        oracle = _rational_nullspace(_commutant_constraints(g), n * n)
+        if [_flatten_exact(m) for m in cv] != oracle:
+            failures.append(f"{name}: orbit basis differs from the rational nullspace")
         if len(cv) != n:
             failures.append(f"{name}: commutant dimension {len(cv)}")
             continue

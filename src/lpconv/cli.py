@@ -30,6 +30,10 @@ EXIT_BAD_JSON = 3
 EXIT_BUDGET = 4
 
 
+class UsageError(Exception):
+    """The command line names a bad or missing argument."""
+
+
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -39,32 +43,43 @@ def _parse_perm(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise SchemaError(f"bad permutation flag: {text}") from exc
+        raise UsageError(f"bad permutation flag: {text}") from exc
+
+
+def _order_arg(family: str, params: list[str]) -> int:
+    if len(params) == 1:
+        try:
+            return int(params[0])
+        except ValueError:
+            pass
+    raise UsageError(f"group make {family} takes one integer order, got {params}")
 
 
 def _cmd_group(args) -> tuple[object, int]:
     rest = args.rest
     if args.action == "make":
         if not rest:
-            raise SchemaError("group make needs a family name")
+            raise UsageError("group make needs a family name")
         family, params = rest[0], rest[1:]
         if family == "cyclic":
-            g = make_cyclic(int(params[0]))
+            g = make_cyclic(_order_arg(family, params))
         elif family == "dihedral":
-            g = make_dihedral(int(params[0]))
+            g = make_dihedral(_order_arg(family, params))
         elif family == "symmetric":
-            g = make_symmetric(int(params[0]))
+            g = make_symmetric(_order_arg(family, params))
         elif family == "quaternion":
             g = make_quaternion()
         elif family == "product":
+            if len(params) != 2:
+                raise UsageError("group make product takes two group files")
             g = make_direct_product(serialize.group_from_json(_load(params[0])),
                                     serialize.group_from_json(_load(params[1])))
         else:
-            raise SchemaError(f"unknown family {family}")
+            raise UsageError(f"unknown family {family}")
         return serialize.group_to_json(g), EXIT_OK
     # action == "iso"
     if len(rest) != 2:
-        raise SchemaError("group iso takes two group files")
+        raise UsageError("group iso takes two group files")
     a = serialize.group_from_json(_load(rest[0]))
     b = serialize.group_from_json(_load(rest[1]))
     return serialize.iso_to_json(is_isomorphic(a, b)), EXIT_OK
@@ -80,14 +95,14 @@ def _weights_list(data) -> tuple[float, ...]:
 def _cmd_measure(args) -> tuple[object, int]:
     if args.action == "rnd":
         if len(args.files) != 2:
-            raise SchemaError("measure rnd takes <sigma.json> <mu.json>")
+            raise UsageError("measure rnd takes <sigma.json> <mu.json>")
         sigma_weights = _weights_list(_load(args.files[0]))
         algebra = serialize.algebra_weights_from_json(_load(args.files[1]))
         sigma = Valuation(algebra, sigma_weights)
         return serialize.function_to_json(rn_derivative(sigma, algebra.mu())), EXIT_OK
     # action == "check-rn"
     if len(args.files) != 3:
-        raise SchemaError("measure check-rn takes <mu.json> <sigma.json> <rho.json>")
+        raise UsageError("measure check-rn takes <mu.json> <sigma.json> <rho.json>")
     algebra = serialize.algebra_weights_from_json(_load(args.files[0]))
     mu = algebra.mu()
     sigma = Valuation(algebra, _weights_list(_load(args.files[1])))
@@ -110,6 +125,8 @@ def _cmd_isom(args) -> tuple[object, int]:
         return {"phases": serialize.function_to_json(form.f),
                 "perm": list(form.phi.perm)}, EXIT_OK
     # action == "distance"
+    if len(args.files) != 2:
+        raise UsageError("isom distance takes two operator files")
     op_a = serialize.operator_from_json(_load(args.files[0]))
     op_b = serialize.operator_from_json(_load(args.files[1]))
     if op_a.context != op_b.context:
@@ -164,7 +181,12 @@ def _cmd_demo(args) -> tuple[object, int]:
 def _cmd_suite(args) -> tuple[object, int]:
     indices = None
     if args.criteria:
-        indices = [int(v) for v in args.criteria.split(",")]
+        count = len(acceptance.ALL_CRITERIA)
+        parts = [v.strip() for v in args.criteria.split(",")]
+        if not all(v.isdecimal() and 1 <= int(v) <= count for v in parts):
+            raise UsageError(f"--criteria takes comma separated numbers 1-{count}, "
+                             f"got {args.criteria!r}")
+        indices = [int(v) for v in parts]
     report = acceptance.run_suite(seed=args.seed, indices=indices)
     return report, EXIT_OK if report["all_passed"] else EXIT_DOMAIN
 
@@ -245,6 +267,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         payload, code = args.handler(args)
+    except UsageError as exc:
+        _emit({"error": str(exc), "kind": "usage"}, args.out)
+        return EXIT_USAGE
     except BudgetError as exc:
         _emit({"error": str(exc), "kind": "budget"}, args.out)
         return EXIT_BUDGET

@@ -2,19 +2,17 @@
 
 With counting measure as the invariant measure, left and right translation
 act as 0/1 permutation matrices, the span of the left translations is an
-algebra of dimension |G|, and the commutant of the right translations (an
-exact rational nullspace computation) recovers the same span. Away from
-exponent 2 the invertible isometries inside such a span are generalized
-permutation matrices with unimodular entries, enumerated here by a support
-pattern search.
+algebra of dimension |G|, and the commutant of the right translations (the
+exact 0/1 indicators of the orbits of G acting diagonally on the right of
+G x G) recovers the same span. Away from exponent 2 the invertible
+isometries inside such a span are generalized permutation matrices with
+unimodular entries, enumerated here by a support pattern search.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,17 +87,20 @@ class AlgebraBasis:
             a.setflags(write=False)
             frozen.append(a)
         object.__setattr__(self, "elements", tuple(frozen))
-        v = self._stack()
-        s = np.linalg.svd(v, compute_uv=False)
-        if s[-1] <= 1e-9 * s[0]:
+        _, s, vh = np.linalg.svd(self._stack(), full_matrices=False)
+        if len(s) < len(frozen) or s[-1] <= 1e-9 * s[0]:
             raise ValueError("basis matrices are linearly dependent")
         if self.coordinates(np.eye(self.n)) is None:
             raise ValueError("the span must contain the identity")
+        # vh has orthonormal rows spanning the basis; closure is checked one
+        # left factor at a time, so only k products are held at once
         k = len(frozen)
-        products = np.stack([(frozen[i] @ frozen[j]).reshape(-1)
-                             for i in range(k) for j in range(k)])
-        coeff, *_ = np.linalg.lstsq(v.T, products.T, rcond=None)
-        err = float(np.max(np.abs(v.T @ coeff - products.T)))
+        stacked = np.stack(frozen)
+        vh_adj = vh.conj().T
+        err = 0.0
+        for a in frozen:
+            prod = (a @ stacked).reshape(k, -1)
+            err = max(err, float(np.max(np.abs(prod - (prod @ vh_adj) @ vh))))
         if err >= 1e-9:
             raise ValueError(f"basis is not closed under products (residual {err:.3e})")
 
@@ -134,90 +135,61 @@ def pseudofunction_algebra(ctx: ConvolutionContext) -> AlgebraBasis:
     return AlgebraBasis(ctx.group.order, ctx.p, mats)
 
 
-def _rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [row[:] for row in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def convolver_basis_exact(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Exact 0/1 basis of the commutant of the right translations.
 
-
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    rref, pivots = _rational_rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][f]
-        basis.append(vec)
-    return basis
-
-
-@functools.lru_cache(maxsize=64)
-def convolver_basis_exact(group: FiniteGroup) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """Exact rational basis of the commutant of the right translations.
-
-    Solves X R_t = R_t X over a generating set; since the constraints have
-    integer entries the nullspace is computed over the rationals, with no
-    rank tolerance. Returned as row-major nested tuples of Fractions.
+    Each constraint X[x, y t^-1] = X[x t, y] of X R_t = R_t X, over a
+    generating set, equates two cells, so the commutant is spanned by the
+    indicator matrices of the orbits of the diagonal right action on
+    G x G. The orbits come from a union-find over the n^2 cells, with no
+    arithmetic, and are ordered by their largest cell index x*n + y (the
+    free column of the constraint system's reduced row echelon form).
+    Returned as row-major nested tuples of 0/1 integers.
     """
     n = group.order
     gens = generating_sequence(group) or [group.identity]
-    rows: list[list[Fraction]] = []
-    seen = set()
+    parent = list(range(n * n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for t in gens:
         t_inv = group.inv(t)
         for x in range(n):
             xt = group.mul(x, t)
             for y in range(n):
-                a = x * n + group.mul(y, t_inv)
-                b = xt * n + y
-                if a == b:
-                    continue
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                row = [Fraction(0)] * (n * n)
-                row[a] = Fraction(1)
-                row[b] = Fraction(-1)
-                rows.append(row)
-    null = _rational_nullspace(rows, n * n)
-    return tuple(tuple(tuple(vec[x * n:(x + 1) * n]) for x in range(n)) for vec in null)
+                a = find(x * n + group.mul(y, t_inv))
+                b = find(xt * n + y)
+                if a != b:
+                    # the root of an orbit stays its largest cell
+                    parent[min(a, b)] = max(a, b)
+    orbits: dict[int, list[int]] = {}
+    for c in range(n * n):
+        orbits.setdefault(find(c), []).append(c)
+    basis = []
+    for root in sorted(orbits):
+        flat = [0] * (n * n)
+        for c in orbits[root]:
+            flat[c] = 1
+        basis.append(tuple(tuple(flat[x * n:(x + 1) * n]) for x in range(n)))
+    return tuple(basis)
 
 
 def convolver_algebra(ctx: ConvolutionContext) -> AlgebraBasis:
     """The commutant of the right translations as a concrete basis.
 
-    Computed by the exact rational nullspace; the resulting dimension is
-    the group order and the span coincides with the left translations.
+    Computed from the exact orbit partition of convolver_basis_exact; each
+    orbit indicator is a left translation, so the dimension is the group
+    order and the span coincides with the left translations.
     """
     exact = convolver_basis_exact(ctx.group)
     n = ctx.group.order
     if len(exact) != n:
         raise AssertionError(f"commutant dimension {len(exact)} != group order {n}")
-    mats = tuple(np.array([[float(v) for v in row] for row in mat], dtype=complex)
-                 for mat in exact)
+    mats = tuple(np.array(mat, dtype=complex) for mat in exact)
     return AlgebraBasis(n, ctx.p, mats)
 
 

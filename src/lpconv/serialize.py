@@ -1,8 +1,10 @@
 """JSON encoding of the package's value types.
 
 Complex numbers are [re, im] pairs, permutations are index arrays, and all
-numbers are finite doubles. Every encoder has a decoder that accepts
-exactly what the encoder emits.
+numbers are finite doubles. Decoders exist for the payloads the CLI reads:
+groups, measure weights, operators and algebra bases. Each accepts what the
+matching encoder emits, and a matrix that is not rectangular or has a
+non-finite entry raises SchemaError.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def iso_to_json(iso: GroupIso | None) -> Any:
     return {"map": list(iso.mapping)}
 
 
-def algebra_weights_to_json(algebra: FiniteMeasureAlgebra) -> dict[str, Any]:
-    return {"weights": [float(w) for w in algebra.weights]}
-
-
 def algebra_weights_from_json(data) -> FiniteMeasureAlgebra:
     try:
         return FiniteMeasureAlgebra(tuple(float(w) for w in data["weights"]))
@@ -68,26 +66,20 @@ def function_to_json(f: MeasurableFunction) -> dict[str, Any]:
             "im": [float(v.imag) for v in f.values]}
 
 
-def function_from_json(data, algebra: FiniteMeasureAlgebra) -> MeasurableFunction:
-    try:
-        re, im = data["re"], data["im"]
-        if len(re) != len(im):
-            raise SchemaError("re and im must have equal length")
-        return MeasurableFunction(algebra,
-                                  tuple(complex(a, b) for a, b in zip(re, im)))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad function payload: {exc}") from exc
-
-
 def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[_complex_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _matrix_from_json(rows) -> np.ndarray:
     try:
-        return np.array([[_from_pair(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, SchemaError) as exc:
+        m = np.array([[_from_pair(v) for v in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad matrix payload: {exc}") from exc
+    if m.ndim != 2:
+        raise SchemaError("bad matrix payload: rows must be equal-length lists")
+    if not np.all(np.isfinite(m)):
+        raise SchemaError("bad matrix payload: entries must be finite")
+    return m
 
 
 def operator_to_json(op: Operator) -> dict[str, Any]:
@@ -130,15 +122,6 @@ def phased_permutation_to_json(u: PhasedPermutation) -> dict[str, Any]:
     return {"perm": list(u.perm),
             "phases": [_complex_pair(z) for z in u.phases],
             "phase_dim": u.phase_dim}
-
-
-def phased_permutation_from_json(data) -> PhasedPermutation:
-    try:
-        return PhasedPermutation(tuple(int(v) for v in data["perm"]),
-                                 tuple(_from_pair(z) for z in data["phases"]),
-                                 int(data.get("phase_dim", 0)))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad isometry class payload: {exc}") from exc
 
 
 def recovered_group_to_json(rec: RecoveredGroup) -> dict[str, Any]:

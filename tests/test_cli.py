@@ -64,6 +64,36 @@ def test_unknown_command_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def _operator_payload(matrix):
+    return {"context": {"weights": [1.0, 1.0], "p": 3.0}, "matrix": matrix}
+
+
+NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("argv, payload, expected", [
+    (["norm", "FILE"], _operator_payload(NAN_ROWS), 3),
+    (["norm", "FILE"], _operator_payload([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]), 3),
+    (["recover", "FILE"], {"n": 2, "p": 3.0, "basis": [NAN_ROWS]}, 3),
+    (["suite", "run", "--criteria", "1,x"], None, 2),
+    (["suite", "run", "--criteria", "10"], None, 2),
+    (["group", "make", "cyclic"], None, 2),
+    (["group", "make", "cyclic", "abc"], None, 2),
+    (["group", "make", "frobenius"], None, 2),
+    (["group", "iso", "FILE"], None, 2),
+    (["isom", "distance", "FILE"], None, 2),
+], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
+        "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
+        "unknown-family", "group-iso-one-file", "isom-distance-one-file"])
+def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
+    if payload is not None:
+        path = write_json(tmp_path / "input.json", payload)
+        argv = [path if a == "FILE" else a for a in argv]
+    code, data = run(capsys, *argv)
+    assert code == expected
+    assert set(data) == {"error", "kind"}
+
+
 def test_measure_rnd(capsys, tmp_path):
     sigma = write_json(tmp_path / "sigma.json", {"weights": [3.0, 1.0]})
     mu = write_json(tmp_path / "mu.json", {"weights": [1.0, 2.0]})

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,11 +99,36 @@ def test_convolver_commutes_with_right_translations_exactly():
             assert np.array_equal(mat @ rho, rho @ mat)
 
 
+def _left_translation_index(g, mat):
+    """The s with mat == L_s (0/1 entries), or None."""
+    m = np.asarray(mat)
+    s = int(np.argmax(m[:, g.identity]))
+    lam = np.zeros(m.shape)
+    lam[[g.mul(s, y) for y in range(g.order)], range(g.order)] = 1.0
+    return s if np.array_equal(m, lam) else None
+
+
 def test_exact_commutant_is_rational_zero_one():
     exact = convolver_basis_exact(make_symmetric(3))
     assert len(exact) == 6
-    values = {v for mat in exact for row in mat for v in row}
-    assert values <= {0, 1}
+    values = [v for mat in exact for row in mat for v in row]
+    assert all(isinstance(v, (int, Fraction)) for v in values)
+    assert set(values) <= {0, 1}
+
+
+def test_convolver_of_s4_is_spanned_by_left_translations():
+    g = make_symmetric(4)
+    cv = convolver_algebra(ConvolutionContext(g, 3.0))
+    assert cv.dimension == 24
+    assert all(_left_translation_index(g, mat) is not None for mat in cv.elements)
+
+
+def test_exact_commutant_of_s5_is_the_left_translations():
+    g = make_symmetric(5)
+    exact = convolver_basis_exact(g)
+    assert len(exact) == 120
+    indices = {_left_translation_index(g, mat) for mat in exact}
+    assert None not in indices and len(indices) == 120
 
 
 def test_membership_examples():
@@ -129,6 +155,11 @@ def test_basis_validation_rejects_unclosed_sets():
     cycle = np.roll(np.eye(3), 1, axis=0)
     with pytest.raises(ValueError):
         AlgebraBasis(3, 3.0, (np.eye(3), cycle))
+
+
+def test_basis_validation_rejects_more_matrices_than_entries():
+    with pytest.raises(ValueError, match="linearly dependent"):
+        AlgebraBasis(1, 3.0, (np.eye(1), 2 * np.eye(1)))
 
 
 def test_enumerate_two_cycle():
