@@ -85,18 +85,11 @@ def _cmd_group(args) -> tuple[object, int]:
     return serialize.iso_to_json(is_isomorphic(a, b)), EXIT_OK
 
 
-def _weights_list(data) -> tuple[float, ...]:
-    try:
-        return tuple(float(w) for w in data["weights"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad weights payload: {exc}") from exc
-
-
 def _cmd_measure(args) -> tuple[object, int]:
     if args.action == "rnd":
         if len(args.files) != 2:
             raise UsageError("measure rnd takes <sigma.json> <mu.json>")
-        sigma_weights = _weights_list(_load(args.files[0]))
+        sigma_weights = serialize.weights_from_json(_load(args.files[0]))
         algebra = serialize.algebra_weights_from_json(_load(args.files[1]))
         sigma = Valuation(algebra, sigma_weights)
         return serialize.function_to_json(rn_derivative(sigma, algebra.mu())), EXIT_OK
@@ -105,8 +98,8 @@ def _cmd_measure(args) -> tuple[object, int]:
         raise UsageError("measure check-rn takes <mu.json> <sigma.json> <rho.json>")
     algebra = serialize.algebra_weights_from_json(_load(args.files[0]))
     mu = algebra.mu()
-    sigma = Valuation(algebra, _weights_list(_load(args.files[1])))
-    rho = Valuation(algebra, _weights_list(_load(args.files[2])))
+    sigma = Valuation(algebra, serialize.weights_from_json(_load(args.files[1])))
+    rho = Valuation(algebra, serialize.weights_from_json(_load(args.files[2])))
     perm = _parse_perm(args.perm) if args.perm else tuple(range(algebra.atoms))
     phi = BooleanAutomorphism(algebra, perm)
     report = rn_chain_rules(mu, sigma, rho, phi)

@@ -22,6 +22,7 @@ from .isometry import LampertiForm, LpContext, Operator, lamperti_operator, vect
 BOYD_TOL = 1e-10
 BOYD_MAX_ITER = 10_000
 _ASCENT_MAX_ITER = 400
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,10 @@ class NormEstimate:
     lower to roundoff. upper majorizes the true norm whenever the power
     iteration on the absolute matrix reached its global fixed point, which
     holds for entrywise-positive input.
+
+    From pnorm_estimate, whose ascent starts run as the columns of one
+    batch, iterations counts the ascent iterations of every start, plus the
+    polish passes, plus the iterations of both power-iteration runs.
     """
 
     lower: float
@@ -90,8 +95,9 @@ def _reduce(m: np.ndarray, ctx: LpContext) -> np.ndarray:
     return (d[:, None] * m) / d[None, :]
 
 
-def _unweighted_norm(v: np.ndarray, p: float) -> float:
-    return float((np.abs(v) ** p).sum() ** (1.0 / p))
+def _unweighted_norm(v: np.ndarray, p: float):
+    """The unweighted p-norm of a vector, or of each row of a block."""
+    return np.add.reduce(np.abs(v) ** p, axis=-1) ** (1.0 / p)
 
 
 def boyd_iterate(obj, ctx: LpContext, tol: float = BOYD_TOL,
@@ -173,7 +179,7 @@ def _signed_power(z: np.ndarray, q: float) -> np.ndarray:
     """
     az = np.abs(z)
     out = np.zeros_like(z)
-    mask = az > np.finfo(float).tiny
+    mask = az > _TINY
     out[mask] = az[mask] ** (q - 1.0) * (z[mask] / az[mask])
     return out
 
@@ -184,9 +190,12 @@ def _fixed_point_polish(a: np.ndarray, p: float, x0: np.ndarray,
 
     Alternates a with the dual-exponent signed-power maps; unlike the
     nonnegative case the quotient need not be monotone for complex input,
-    so the best iterate is retained rather than the last.
+    so the best iterate is retained rather than the last. The iteration
+    stops once an iterate moves by at most 1e-12 (max-abs): it has settled
+    at its fixed point, and further passes change nothing but roundoff.
     """
     pd = p / (p - 1.0)
+    ah = a.conj().T
     nx = _unweighted_norm(x0, p)
     if nx == 0.0:
         return 0.0, x0, 0
@@ -199,10 +208,11 @@ def _fixed_point_polish(a: np.ndarray, p: float, x0: np.ndarray,
         ny = _unweighted_norm(y, p)
         if ny == 0.0:
             break
-        w = a.conj().T @ _signed_power(y / ny, p)
+        w = ah @ _signed_power(y / ny, p)
         nw = _unweighted_norm(w, pd)
         if nw == 0.0:
             break
+        prev = x
         x = _signed_power(w / nw, pd)
         x = x / _unweighted_norm(x, p)
         val = _unweighted_norm(a @ x, p)
@@ -210,57 +220,97 @@ def _fixed_point_polish(a: np.ndarray, p: float, x0: np.ndarray,
             best_val, best_x = val, x
         elif val <= best_val:
             break
+        if np.abs(x - prev).max() <= 1e-12:
+            break
     return best_val, best_x, iterations
 
 
-def _ascent(a: np.ndarray, p: float, x0: np.ndarray,
-            max_iter: int = _ASCENT_MAX_ITER) -> tuple[float, np.ndarray, int]:
-    """Projected gradient ascent of |a x|_p on the unweighted unit p-sphere."""
-    nx = _unweighted_norm(x0, p)
-    if nx == 0.0:
-        return 0.0, x0, 0
-    x = x0 / nx
-    val = _unweighted_norm(a @ x, p)
-    step = 0.5
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = a @ x
-        ay = np.abs(y)
-        # |y|^(p-2) y with (sub)zero entries masked (p < 2 would blow up)
-        weight = np.zeros_like(ay)
-        mask = ay > np.finfo(float).tiny
-        weight[mask] = ay[mask] ** (p - 2.0)
-        g = a.conj().T @ (weight * y)
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            break
-        improved = False
-        while step > 1e-12:
-            xn = x + step * g / gn
-            nn = _unweighted_norm(xn, p)
-            if nn > 0.0:
-                vn = _unweighted_norm(a @ (xn / nn), p)
-                if vn > val + 1e-12 * max(1.0, val):
-                    x, val = xn / nn, vn
-                    improved = True
-                    step = min(step * 2.0, 1.0)
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return val, x, iterations
+def _apply(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # one matrix-vector product per row: each row is multiplied exactly as a
+    # lone vector would be, whatever else is in the batch
+    return (a @ rows[..., None])[..., 0]
+
+
+def _batched_ascent(a: np.ndarray, p: float, x0: np.ndarray,
+                    max_iter: int = _ASCENT_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient ascent of |a x|_p on the unweighted unit p-sphere.
+
+    Each column of the n x k block x0 is one start. Every column keeps its
+    own step, backtracking line search and iteration count, and stops on
+    its own (zero gradient, or no step above 1e-12 improves it); stopped
+    columns leave the live block. A zero column stays zero with value 0.
+    The starts are held one per row and every product and sum runs row by
+    row, so a column gets the same numbers in any batch as on its own.
+    Returns the values, the final iterates as columns, and the per-column
+    iteration counts.
+    """
+    x = np.array(x0.T, dtype=complex, order="C")
+    vals = np.zeros(len(x))
+    counts = np.zeros(len(x), dtype=int)
+    ah = a.conj().T
+    wexp = p - 2.0
+    nx = _unweighted_norm(x, p)
+    # the live starts: their indices, iterates, values and steps
+    live = np.flatnonzero(nx > 0.0)
+    xl = x[live] / nx[live, None]
+    vl = _unweighted_norm(_apply(a, xl), p)
+    sl = np.full(live.size, 0.5)
+    # a trial point that is exactly zero normalizes to NaN, which never
+    # passes the improvement test; its step is halved like any other miss
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for it in range(1, max_iter + 1):
+            if live.size == 0:
+                break
+            y = _apply(a, xl)
+            ay = np.abs(y)
+            # |y|^(p-2) y with (sub)zero entries masked (p < 2 would blow up)
+            weight = np.zeros_like(ay)
+            mask = ay > _TINY
+            weight[mask] = ay[mask] ** wexp
+            g = _apply(ah, weight * y)
+            gn = np.linalg.norm(g, axis=-1)
+            improved = np.zeros(live.size, dtype=bool)
+            # backtracking line search over the starts still trying; every
+            # live step exceeds 1e-12 when it starts
+            t = np.flatnonzero(gn > 0.0)
+            while t.size:
+                xn = xl[t] + sl[t, None] * g[t] / gn[t, None]
+                xn /= _unweighted_norm(xn, p)[:, None]
+                vn = _unweighted_norm(_apply(a, xn), p)
+                old = vl[t]
+                up = vn > old + 1e-12 * np.maximum(1.0, old)
+                won = t[up]
+                xl[won] = xn[up]
+                vl[won] = vn[up]
+                sl[won] = np.minimum(sl[won] * 2.0, 1.0)
+                improved[won] = True
+                t = t[~up]
+                sl[t] *= 0.5
+                t = t[sl[t] > 1e-12]
+            if not improved.all():
+                stop = ~improved
+                x[live[stop]] = xl[stop]
+                vals[live[stop]] = vl[stop]
+                counts[live[stop]] = it
+                live, xl, vl, sl = live[improved], xl[improved], vl[improved], sl[improved]
+    x[live] = xl
+    vals[live] = vl
+    counts[live] = max_iter
+    return vals, x.T, counts
 
 
 def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormEstimate:
     """Sandwich the p -> p norm of a complex matrix.
 
     Lower bound: best value over multi-start projected gradient ascent,
-    each run polished by the phase-aware power iteration; the starts are
-    the atom basis vectors, the power-iteration witness of the absolute
-    matrix, and seeded random draws. Upper bound: the power iteration value
-    on the entrywise-absolute majorant, re-run from the modulus of the best
-    witness so the sandwich cannot invert. Generalized permutation input
-    collapses to the exact closed form.
+    polished by the phase-aware power iteration; the starts are the atom
+    basis vectors, the power-iteration witness of the absolute matrix, and
+    seeded random draws, and they run together as the columns of one n x k
+    batch. Upper bound: the power iteration value on the entrywise-absolute
+    majorant, re-run from the modulus of the best witness so the sandwich
+    cannot invert. Generalized permutation input collapses to the exact
+    closed form. The returned iterations are the ascent iterations of every
+    start, plus the polish passes, plus the iterations of both power runs.
     """
     p = ctx.p
     _require_interior_p(p)
@@ -286,18 +336,18 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     boyd_first = boyd_iterate(np.abs(m), ctx)
     iterations = boyd_first.iterations
 
+    # columns: the atoms, the power-iteration witness, then the random draws
     rng = np.random.default_rng(seed)
-    start_list = [np.eye(n, dtype=complex)[y] for y in range(n)]
-    start_list.append((boyd_first.witness * w ** (1.0 / p)).astype(complex))
-    for _ in range(starts):
-        start_list.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    draws = rng.standard_normal((starts, 2, n))
+    x0 = np.empty((n, n + 1 + starts), dtype=complex)
+    x0[:, :n] = np.eye(n)
+    x0[:, n] = boyd_first.witness * w ** (1.0 / p)
+    x0[:, n + 1:] = (draws[:, 0] + 1j * draws[:, 1]).T
 
-    best_val, best_x = -1.0, None
-    for x0 in start_list:
-        val, x, its = _ascent(a, p, np.asarray(x0, dtype=complex))
-        iterations += its
-        if val > best_val:
-            best_val, best_x = val, x
+    vals, xs, counts = _batched_ascent(a, p, x0)
+    iterations += int(counts.sum())
+    best = int(np.argmax(vals))
+    best_val, best_x = vals[best], xs[:, best]
     # terminal convergence of steepest ascent is slow on flat maxima; one
     # polish pass from the best point closes the remaining gap
     val, x, its = _fixed_point_polish(a, p, best_x)

@@ -3,12 +3,13 @@
 Complex numbers are [re, im] pairs, permutations are index arrays, and all
 numbers are finite doubles. Decoders exist for the payloads the CLI reads:
 groups, measure weights, operators and algebra bases. Each accepts what the
-matching encoder emits, and a matrix that is not rectangular or has a
-non-finite entry raises SchemaError.
+matching encoder emits; a matrix that is not rectangular, or a non-finite
+matrix entry, weight or exponent, raises SchemaError.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -54,11 +55,26 @@ def iso_to_json(iso: GroupIso | None) -> Any:
     return {"map": list(iso.mapping)}
 
 
-def algebra_weights_from_json(data) -> FiniteMeasureAlgebra:
+def _finite(value, what: str) -> float:
     try:
-        return FiniteMeasureAlgebra(tuple(float(w) for w in data["weights"]))
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from exc
+    if not math.isfinite(x):
+        raise SchemaError(f"bad {what}: {x} is not finite")
+    return x
+
+
+def weights_from_json(data) -> tuple[float, ...]:
+    """The finite numbers under the "weights" key of a payload."""
+    try:
+        return tuple(_finite(w, "weights payload") for w in data["weights"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad weights payload: {exc}") from exc
+
+
+def algebra_weights_from_json(data) -> FiniteMeasureAlgebra:
+    return FiniteMeasureAlgebra(weights_from_json(data))
 
 
 def function_to_json(f: MeasurableFunction) -> dict[str, Any]:
@@ -91,9 +107,8 @@ def operator_to_json(op: Operator) -> dict[str, Any]:
 def operator_from_json(data) -> Operator:
     try:
         ctx = data["context"]
-        context = LpContext(
-            FiniteMeasureAlgebra(tuple(float(w) for w in ctx["weights"])),
-            float(ctx["p"]))
+        context = LpContext(algebra_weights_from_json(ctx),
+                            _finite(ctx["p"], "operator payload: p"))
         return Operator(context, _matrix_from_json(data["matrix"]))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad operator payload: {exc}") from exc
@@ -107,7 +122,7 @@ def algebra_basis_to_json(basis: AlgebraBasis) -> dict[str, Any]:
 def algebra_basis_from_json(data) -> AlgebraBasis:
     try:
         mats = tuple(_matrix_from_json(m) for m in data["basis"])
-        return AlgebraBasis(int(data["n"]), float(data["p"]), mats)
+        return AlgebraBasis(int(data["n"]), _finite(data["p"], "algebra payload: p"), mats)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad algebra payload: {exc}") from exc
 

@@ -64,8 +64,8 @@ def test_unknown_command_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def _operator_payload(matrix):
-    return {"context": {"weights": [1.0, 1.0], "p": 3.0}, "matrix": matrix}
+def _operator_payload(matrix, p=3.0):
+    return {"context": {"weights": [1.0, 1.0], "p": p}, "matrix": matrix}
 
 
 NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -82,9 +82,13 @@ NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (["group", "make", "frobenius"], None, 2),
     (["group", "iso", "FILE"], None, 2),
     (["isom", "distance", "FILE"], None, 2),
+    (["measure", "rnd", "FILE", "FILE"], {"weights": [float("nan"), 1.0]}, 3),
+    (["norm", "FILE"], _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                                         p=float("nan")), 3),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
-        "unknown-family", "group-iso-one-file", "isom-distance-one-file"])
+        "unknown-family", "group-iso-one-file", "isom-distance-one-file",
+        "weights-nan", "p-nan"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     if payload is not None:
         path = write_json(tmp_path / "input.json", payload)

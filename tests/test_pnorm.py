@@ -7,8 +7,9 @@ from lpconv.isometry import (LampertiForm, LpContext, lamperti_operator,
                              transform_isometry, vector_norm)
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction)
-from lpconv.pnorm import (boyd_iterate, dual_transpose, norm_witness_disjoint,
-                          pnorm_estimate, pnorm_genperm_exact, split_norm_ratio)
+from lpconv.pnorm import (_batched_ascent, _fixed_point_polish, boyd_iterate,
+                          dual_transpose, norm_witness_disjoint, pnorm_estimate,
+                          pnorm_genperm_exact, split_norm_ratio)
 
 COUNTING2 = FiniteMeasureAlgebra((1.0, 1.0))
 
@@ -144,6 +145,68 @@ def test_holder_duality_of_estimates(seed):
     lower_p = pnorm_estimate(m, ctx_p, starts=4, seed=seed).lower
     lower_q = pnorm_estimate(dual_transpose(m, ctx_p), ctx_q, starts=4, seed=seed).lower
     assert lower_p == pytest.approx(lower_q, abs=2e-6)
+
+
+@given(st.integers(0, 2**16), st.integers(2, 8), st.sampled_from([1.2, 1.5, 3.0, 4.0]),
+       st.booleans())
+@settings(max_examples=25)
+def test_batched_ascent_columns_do_not_interact(seed, n, p, zero_column):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dead = int(rng.integers(n))
+    if zero_column:
+        a[:, dead] = 0.0
+    x0 = np.concatenate([np.eye(n), np.zeros((n, 1)),
+                         rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))], axis=1)
+    vals, xs, counts = _batched_ascent(a, p, x0)
+    for j in range(x0.shape[1]):
+        alone_vals, _, alone_counts = _batched_ascent(a, p, x0[:, [j]])
+        assert vals[j] == pytest.approx(alone_vals[0], rel=1e-12, abs=1e-12)
+        assert counts[j] == alone_counts[0]
+    # the zero start never moves; an atom on a zero column stops at once
+    assert vals[n] == 0.0 and counts[n] == 0 and not xs[:, n].any()
+    if zero_column:
+        assert vals[dead] == 0.0 and counts[dead] == 1
+
+
+def _circulant(coeffs):
+    n = len(coeffs)
+    shift = np.roll(np.eye(n), 1, axis=0)
+    return sum(c * np.linalg.matrix_power(shift, g) for g, c in enumerate(coeffs))
+
+
+def test_polish_stops_at_its_fixed_point():
+    # an element of the group algebra of Z4: without the fixed-point stop its
+    # polish runs all 300 passes and ends at this same value
+    rng = np.random.default_rng(1)
+    a = _circulant(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    vals, xs, _ = _batched_ascent(a, 3.0, np.eye(4))
+    val, x, its = _fixed_point_polish(a, 3.0, xs[:, np.argmax(vals)])
+    assert its < 300
+    assert val == pytest.approx(3.5702323276388266, rel=1e-12)
+    again, _, _ = _fixed_point_polish(a, 3.0, x)
+    assert again <= val * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("kind", ["zero-column", "rank-one"])
+def test_estimate_on_degenerate_matrices(kind):
+    rng = np.random.default_rng(11)
+    n = 5
+    ctx = ctx_for(rng.uniform(0.5, 2.0, n), 3.0)
+    if kind == "zero-column":
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[:, 2] = 0.0
+    else:
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        m = np.outer(u, v.conj())
+    est = pnorm_estimate(m, ctx, starts=3, seed=2)
+    ray = vector_norm(m @ est.witness, ctx) / vector_norm(est.witness, ctx)
+    assert ray == pytest.approx(est.lower, rel=1e-12, abs=1e-12)
+    best_atom = max(vector_norm(m @ e, ctx) / vector_norm(e, ctx)
+                    for e in np.eye(n, dtype=complex))
+    assert est.lower >= best_atom * (1.0 - 1e-12)
+    assert est.lower <= est.upper
 
 
 def test_disjoint_witness_certifies_two():
