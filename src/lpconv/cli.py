@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import acceptance, serialize
-from .convolution import ConvolutionContext, convolver_algebra, unitary_group_enumerate
+from .convolution import (ENUM_ATOM_BUDGET, AlgebraBasis, ConvolutionContext,
+                          convolver_algebra, unitary_group_enumerate)
 from .errors import BudgetError, LpconvError
 from .groups import (is_isomorphic, make_cyclic, make_dihedral,
                      make_direct_product, make_quaternion, make_symmetric)
@@ -37,6 +38,20 @@ class UsageError(Exception):
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_enumerable_bases(paths: list[str]) -> list[AlgebraBasis]:
+    """Decode algebra payloads bound for the pattern search, refusing any
+    whose n is over the search's atom cap before a basis is built."""
+    payloads = [_load(path) for path in paths]
+    for data in payloads:
+        try:
+            n = int(data["n"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            continue  # the decoder reports the malformed payload
+        if n > ENUM_ATOM_BUDGET:
+            raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
+    return [serialize.algebra_basis_from_json(data) for data in payloads]
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
@@ -147,21 +162,20 @@ def _cmd_algebra(args) -> tuple[object, int]:
         basis = convolver_algebra(ConvolutionContext(g, args.p))
         return serialize.algebra_basis_to_json(basis), EXIT_OK
     # action == "unitaries"
-    basis = serialize.algebra_basis_from_json(_load(args.files[0]))
+    basis, = _load_enumerable_bases(args.files[:1])
     units = unitary_group_enumerate(basis, basis.p)
     return {"count": len(units),
             "classes": [serialize.phased_permutation_to_json(u) for u in units]}, EXIT_OK
 
 
 def _cmd_recover(args) -> tuple[object, int]:
-    basis = serialize.algebra_basis_from_json(_load(args.file))
+    basis, = _load_enumerable_bases([args.file])
     rec = recover_group(basis, basis.p)
     return serialize.recovered_group_to_json(rec), EXIT_OK
 
 
 def _cmd_decide(args) -> tuple[object, int]:
-    basis_a = serialize.algebra_basis_from_json(_load(args.files[0]))
-    basis_b = serialize.algebra_basis_from_json(_load(args.files[1]))
+    basis_a, basis_b = _load_enumerable_bases(args.files)
     verdict = decide_isomorphism(basis_a, basis_a.p, basis_b, basis_b.p)
     return serialize.verdict_to_json(verdict), EXIT_OK
 

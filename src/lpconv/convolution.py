@@ -22,6 +22,7 @@ from .isometry import LpContext, Operator
 from .measure import FiniteMeasureAlgebra
 
 ENUM_NODE_BUDGET = 200_000
+ENUM_ATOM_BUDGET = 64
 ENUM_TOL = 1e-9
 
 
@@ -249,41 +250,88 @@ def _left_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
     return u[:, rank:].conj().T
 
 
-def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
-                            node_budget: int = ENUM_NODE_BUDGET,
-                            tol: float = ENUM_TOL) -> tuple[PhasedPermutation, ...]:
-    """All invertible-isometry classes inside the span, modulo global phase.
+class _PatternSearch:
+    """Depth-first walk over support patterns, one column per level.
 
-    Away from exponent 2 the invertible isometries of an unweighted atom
-    space are exactly the generalized permutation matrices with unimodular
-    entries, so the search walks support patterns column by column while
-    restricting the span to matrices vanishing off the pattern. A pattern
-    whose feasible slice is one-dimensional yields at most one class; a
-    slice of full dimension n yields the whole phase torus (reported with
-    phase_dim = n - 1); an intermediate dimension would not produce a
-    discrete class set and raises NotGroupLike.
+    A node is a slice c (orthonormal rows of coordinates on b0) of the
+    span's matrices that vanish off the pattern chosen so far. The state
+    lives on the instance and the walk is a method, so a finished search
+    leaves no reference cycle behind for the garbage collector.
     """
-    if p == 2.0:
-        raise P2Unsupported(
-            "at p = 2 the isometry group is strictly larger than the "
-            "generalized permutations; enumeration refuses")
-    if not (1.0 < p < math.inf):
-        raise POutOfRange("enumeration needs p strictly between 1 and infinity")
-    n = basis.n
-    if n > 64:
-        raise BudgetError("pattern search capped at 64 atoms")
 
-    v = basis._stack()
-    _, s, vh = np.linalg.svd(v, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
-    b0 = vh[:rank]  # orthonormal rows spanning the same space
-    col_index = [[x * n + y for x in range(n)] for y in range(n)]
-    found: list[PhasedPermutation] = []
-    nodes = 0
+    def __init__(self, b0: np.ndarray, n: int, node_budget: int, tol: float):
+        self.b0 = b0
+        self.n = n
+        self.node_budget = node_budget
+        self.tol = tol
+        self.used = [False] * n
+        self.pattern: list[int] = []
+        self.found: list[PhasedPermutation] = []
+        self.nodes = 0
 
-    def finalize(c, pattern):
+    def _count(self, k: int) -> None:
+        self.nodes += k
+        if self.nodes > self.node_budget:
+            raise BudgetError("pattern search exceeded its node budget")
+
+    def descend(self, c: np.ndarray) -> None:
+        n, tol, used, pattern = self.n, self.tol, self.used, self.pattern
+        y = len(pattern)
+        if y == n:
+            self._finalize(c, pattern)
+            return
+        if c.shape[0] == 1:
+            self._follow_line(c)
+            return
+        acol = c @ self.b0[:, y::n]  # coordinates of column y (cells x*n + y) on the slice
+        for x in range(n):
+            if used[x]:
+                continue
+            self._count(1)
+            others = np.delete(acol, x, axis=1)
+            nmat = _left_nullspace(others, tol)
+            if nmat.shape[0] == 0:
+                continue
+            if np.max(np.abs(nmat @ acol[:, x])) <= tol:
+                continue
+            used[x] = True
+            pattern.append(x)
+            self.descend(nmat @ c)
+            used[x] = False
+            pattern.pop()
+
+    def _follow_line(self, c: np.ndarray) -> None:
+        """Read the rest of the pattern off a one-row slice in one pass.
+
+        A one-dimensional slice is a single matrix M up to scale, so its
+        subtree is one path: column y continues it exactly when the largest
+        entry of M[:, y] sits in a free row with modulus above tol and the
+        rest of the column has 2-norm at most tol (the rank-0 test a
+        per-candidate nullspace would make). Each level visited counts its
+        n - y free rows as nodes, up to and including the first failing one.
+        """
+        n, tol = self.n, self.tol
+        y0 = len(self.pattern)
+        mod = np.abs((c[0] @ self.b0).reshape(n, n)[:, y0:])
+        levels = np.arange(n - y0)
+        rows = np.argmax(mod, axis=0)
+        peak = mod[rows, levels]
+        mod[rows, levels] = 0.0
+        ok = ((peak > tol) & (np.linalg.norm(mod, axis=0) <= tol)).tolist()
+        used = list(self.used)
+        pattern = list(self.pattern)
+        for j, x in enumerate(rows.tolist()):
+            self._count(n - y0 - j)
+            if not ok[j] or used[x]:
+                return
+            used[x] = True
+            pattern.append(x)
+        self._finalize(c, pattern)
+
+    def _finalize(self, c: np.ndarray, pattern: list[int]) -> None:
+        n, tol = self.n, self.tol
         d = c.shape[0]
-        coords = np.stack([c @ b0[:, pattern[y] * n + y] for y in range(n)], axis=1)
+        coords = np.stack([c @ self.b0[:, pattern[y] * n + y] for y in range(n)], axis=1)
         if d == 1:
             vec = coords[0]
             moduli = np.abs(vec)
@@ -293,38 +341,45 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
                 return
             phases = vec / moduli
             phases = phases / phases[0]
-            found.append(PhasedPermutation(tuple(pattern), tuple(phases), 0))
+            self.found.append(PhasedPermutation(tuple(pattern), tuple(phases), 0))
         elif d == n:
-            found.append(PhasedPermutation(tuple(pattern), (1.0 + 0j,) * n, n - 1))
+            self.found.append(PhasedPermutation(tuple(pattern), (1.0 + 0j,) * n, n - 1))
         else:
             raise NotGroupLike(
                 f"a support pattern carries a {d}-parameter phase family "
                 "strictly between a scalar line and the full torus")
 
-    def descend(c, y, used, pattern):
-        nonlocal nodes
-        if y == n:
-            finalize(c, pattern)
-            return
-        acol = c @ b0[:, col_index[y]]  # coordinates of column y on the slice
-        for x in range(n):
-            if used[x]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("pattern search exceeded its node budget")
-            others = np.delete(acol, x, axis=1)
-            nmat = _left_nullspace(others, tol)
-            if nmat.shape[0] == 0:
-                continue
-            if np.max(np.abs(nmat @ acol[:, x])) <= tol:
-                continue
-            used[x] = True
-            pattern.append(x)
-            descend(nmat @ c, y + 1, used, pattern)
-            used[x] = False
-            pattern.pop()
 
-    descend(np.eye(b0.shape[0], dtype=complex), 0, [False] * n, [])
+def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
+                            node_budget: int = ENUM_NODE_BUDGET,
+                            tol: float = ENUM_TOL) -> tuple[PhasedPermutation, ...]:
+    """All invertible-isometry classes inside the span, modulo global phase.
+
+    Away from exponent 2 the invertible isometries of an unweighted atom
+    space are exactly the generalized permutation matrices with unimodular
+    entries, so the search walks support patterns column by column while
+    restricting the span to matrices vanishing off the pattern. A pattern
+    whose feasible slice is one-dimensional yields at most one class, and
+    the slice's single matrix fixes the rest of the pattern, which is read
+    off it in one pass; a slice of full dimension n yields the whole phase
+    torus (reported with phase_dim = n - 1); an intermediate dimension
+    would not produce a discrete class set and raises NotGroupLike.
+    """
+    if p == 2.0:
+        raise P2Unsupported(
+            "at p = 2 the isometry group is strictly larger than the "
+            "generalized permutations; enumeration refuses")
+    if not (1.0 < p < math.inf):
+        raise POutOfRange("enumeration needs p strictly between 1 and infinity")
+    n = basis.n
+    if n > ENUM_ATOM_BUDGET:
+        raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
+
+    v = basis._stack()
+    _, s, vh = np.linalg.svd(v, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0]))
+    b0 = vh[:rank]  # orthonormal rows spanning the same space
+    search = _PatternSearch(b0, n, node_budget, tol)
+    search.descend(np.eye(rank, dtype=complex))
     identity = tuple(range(n))
-    return tuple(sorted(found, key=lambda u: (u.perm != identity, u.perm)))
+    return tuple(sorted(search.found, key=lambda u: (u.perm != identity, u.perm)))

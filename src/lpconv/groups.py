@@ -122,6 +122,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n with table (i + j) mod n."""
     if n < 1:
         raise ValueError("cyclic group needs order at least 1")
+    if n > TABLE_BUDGET:
+        raise BudgetError(f"cyclic budget is n <= {TABLE_BUDGET}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(n, _freeze(table), 0)
 

@@ -80,6 +80,7 @@ NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (["group", "make", "cyclic"], None, 2),
     (["group", "make", "cyclic", "abc"], None, 2),
     (["group", "make", "frobenius"], None, 2),
+    (["group", "make", "cyclic", "3000"], None, 4),
     (["group", "iso", "FILE"], None, 2),
     (["isom", "distance", "FILE"], None, 2),
     (["measure", "rnd", "FILE", "FILE"], {"weights": [float("nan"), 1.0]}, 3),
@@ -87,7 +88,7 @@ NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
                                          p=float("nan")), 3),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
-        "unknown-family", "group-iso-one-file", "isom-distance-one-file",
+        "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
         "weights-nan", "p-nan"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     if payload is not None:
@@ -96,6 +97,25 @@ def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected
     code, data = run(capsys, *argv)
     assert code == expected
     assert set(data) == {"error", "kind"}
+
+
+@pytest.mark.parametrize("argv", [["recover", "BIG"], ["decide", "SMALL", "BIG"],
+                                  ["algebra", "unitaries", "BIG"]],
+                         ids=["recover", "decide", "unitaries"])
+def test_enumeration_cap_is_checked_before_decoding(capsys, tmp_path, monkeypatch, argv):
+    # the cap refuses on the payload's n alone: the basis is never decoded
+    def refuse(data):
+        raise AssertionError("decoded a basis over the enumeration cap")
+
+    small = serialize.algebra_basis_to_json(
+        convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))
+    paths = {"SMALL": write_json(tmp_path / "small.json", small),
+             "BIG": write_json(tmp_path / "big.json",
+                               {"n": 65, "p": 3.0, "basis": [[[[1.0, 0.0]]]]})}
+    monkeypatch.setattr(serialize, "algebra_basis_from_json", refuse)
+    code, data = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 4
+    assert data["kind"] == "budget"
 
 
 def test_measure_rnd(capsys, tmp_path):

@@ -9,8 +9,9 @@ from lpconv.convolution import (AlgebraBasis, ConvolutionContext,
                                 convolver_algebra, convolver_basis_exact,
                                 left_regular, pseudofunction_algebra,
                                 right_regular, unitary_group_enumerate)
-from lpconv.errors import NotGroupLike, P2Unsupported, POutOfRange
-from lpconv.groups import make_cyclic, make_dihedral, make_symmetric, zoo
+from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
+from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product,
+                           make_quaternion, make_symmetric, zoo)
 
 
 def test_regular_representations_at_identity():
@@ -209,6 +210,66 @@ def test_enumerate_closure_and_projection_to_group_product():
     a = PhasedPermutation(lam_perm[s], tuple(0.3 + 0.954j for _ in range(6)))
     b = PhasedPermutation(lam_perm[t], tuple(-1j for _ in range(6)))
     assert a.compose(b).perm == lam_perm[g.mul(s, t)]
+
+
+@pytest.mark.parametrize("group, nodes", [(make_cyclic(4), 28), (make_quaternion(), 232)],
+                         ids=["Z4", "Q8"])
+def test_enumerate_node_count_is_pinned(group, nodes):
+    # n root candidates, then each of the n one-dimensional children walks
+    # its single path over (n - 1) + ... + 1 free rows: n + n * n(n - 1) / 2
+    n = group.order
+    assert nodes == n + n * n * (n - 1) // 2
+    basis = convolver_algebra(ConvolutionContext(group, 3.0))
+    assert len(unitary_group_enumerate(basis, 3.0, node_budget=nodes)) == n
+    with pytest.raises(BudgetError):
+        unitary_group_enumerate(basis, 3.0, node_budget=nodes - 1)
+
+
+def _hidden_presentation(g, rng):
+    """The left translations with atoms relabelled by a random permutation
+    and the basis mixed by a random orthogonal matrix; also the relabelled
+    support of each translation, as perm tuples."""
+    n = g.order
+    sigma = rng.permutation(n)
+    lam = np.zeros((n, n, n))
+    for s in range(n):
+        for y in range(n):
+            lam[s, sigma[g.mul(s, y)], sigma[y]] = 1.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mats = np.einsum("ij,jkl->ikl", q, lam)
+    supports = {tuple(int(np.argmax(lam[s][:, y])) for y in range(n)) for s in range(n)}
+    return AlgebraBasis(n, 3.0, tuple(mats)), supports
+
+
+@pytest.mark.parametrize("group", [
+    make_dihedral(6),
+    make_direct_product(make_quaternion(), make_cyclic(4)),
+    make_direct_product(make_quaternion(), make_cyclic(8)),
+], ids=["D6", "Q8xZ4", "Q8xZ8"])
+def test_enumerate_hidden_presentations(group):
+    basis, supports = _hidden_presentation(group, np.random.default_rng(group.order))
+    units = unitary_group_enumerate(basis, 3.0)
+    assert {u.perm for u in units} == supports
+    assert len(units) == group.order
+    for u in units:
+        assert u.phase_dim == 0
+        assert np.allclose(np.abs(u.phases), 1.0, atol=1e-12)
+
+
+def test_enumerate_reads_phases_of_a_conjugated_presentation():
+    # conjugating L_s by diag(d) puts d[s y] / d[y] in column y
+    g = make_dihedral(4)
+    n = g.order
+    rng = np.random.default_rng(3)
+    d = np.exp(2j * np.pi * rng.random(n))
+    lam = pseudofunction_algebra(ConvolutionContext(g, 1.5)).elements
+    basis = AlgebraBasis(n, 1.5, tuple(np.diag(d) @ m @ np.diag(1 / d) for m in lam))
+    units = {u.perm: u for u in unitary_group_enumerate(basis, 1.5)}
+    assert len(units) == n
+    for s in range(n):
+        perm = tuple(g.mul(s, y) for y in range(n))
+        expected = PhasedPermutation(perm, tuple(d[perm[y]] / d[y] for y in range(n)))
+        assert units[perm].same_class(expected, tol=1e-12)
 
 
 def test_enumerate_full_matrix_algebra_yields_all_patterns():

@@ -106,6 +106,13 @@ def test_symmetric_budget():
         make_symmetric(6)
 
 
+def test_table_budgets():
+    with pytest.raises(BudgetError):
+        make_cyclic(129)
+    with pytest.raises(BudgetError):
+        make_dihedral(65)
+
+
 def test_iso_budget():
     big = make_cyclic(65)
     with pytest.raises(BudgetError):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from lpconv.convolution import (AlgebraBasis, ConvolutionContext,
                                 left_regular, unitary_group_enumerate)
 from lpconv.errors import NotGroupLike, P2Unsupported
 from lpconv.groups import (FiniteGroup, is_isomorphic, make_cyclic,
-                           make_direct_product, make_dihedral, make_symmetric,
-                           zoo)
+                           make_direct_product, make_dihedral, make_quaternion,
+                           make_symmetric, zoo)
 from lpconv.isometry import LpContext
 from lpconv.measure import BooleanAutomorphism, FiniteMeasureAlgebra
 from lpconv.pnorm import pnorm_estimate
@@ -132,6 +134,20 @@ def test_recovery_is_presentation_invariant():
     shuffled = AlgebraBasis(cv.n, cv.p, tuple(mats[i] for i in order))
     rec = recover_group(shuffled, 3.0)
     assert is_isomorphic(rec.group, g) is not None
+
+
+def test_recovery_leaves_no_cyclic_garbage():
+    # a search that kept a self-referencing closure would leave its basis
+    # and lists for the cycle collector after every call
+    g = make_direct_product(make_quaternion(), make_cyclic(4))
+    basis = convolver_algebra(ConvolutionContext(g, 3.0))
+    gc.collect()
+    gc.disable()
+    try:
+        recover_group(basis, 3.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_recover_full_matrix_algebra_gives_symmetric_group():
