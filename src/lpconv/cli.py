@@ -1,8 +1,9 @@
 """Command line front end: JSON in, JSON out, deterministic under --seed.
 
 Exit codes: 0 success, 1 domain error (invalid isometry, ungrouplike
-algebra, mismatched contexts, failed suite), 2 usage error, 3 malformed
-input JSON, 4 enumeration budget exceeded.
+algebra, mismatched contexts, failed suite, a result that overflows to a
+non-finite number), 2 usage error, 3 malformed input JSON, 4 enumeration
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -289,7 +290,12 @@ def main(argv=None) -> int:
     except (LpconvError, ValueError, KeyError, IndexError) as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__}, args.out)
         return EXIT_DOMAIN
-    _emit(payload, args.out)
+    try:
+        _emit(payload, args.out)
+    except ValueError:  # NaN and infinity have no JSON form
+        _emit({"error": "the result holds a non-finite number", "kind": "non-finite-result"},
+              args.out)
+        return EXIT_DOMAIN
     return code
 
 

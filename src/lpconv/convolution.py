@@ -12,7 +12,7 @@ unimodular entries, enumerated here by a support pattern search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,56 +71,122 @@ def right_regular(ctx: ConvolutionContext, s: int) -> Operator:
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """Linearly independent matrices whose span is unital and closed under products."""
+    """Linearly independent matrices whose span is unital and closed under products.
+
+    Validation keeps the SVD u diag(s) vh of the stacked, flattened matrices:
+    the rows of vh are an orthonormal frame of the span, which membership
+    tests and the isometry search read instead of factoring the stack again.
+    """
 
     n: int
     p: float
     elements: tuple[np.ndarray, ...]
+    _u: np.ndarray = field(init=False, repr=False, compare=False)
+    _s: np.ndarray = field(init=False, repr=False, compare=False)
+    _vh: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("basis must be nonempty")
-        frozen = []
-        for m in self.elements:
-            a = np.array(m, dtype=complex)
+        mats = [np.asarray(m) for m in self.elements]
+        for a in mats:
             if a.shape != (self.n, self.n):
                 raise ValueError(f"basis matrices must be {self.n} x {self.n}")
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "elements", tuple(frozen))
-        _, s, vh = np.linalg.svd(self._stack(), full_matrices=False)
-        if len(s) < len(frozen) or s[-1] <= 1e-9 * s[0]:
+        k = len(mats)
+        stacked = np.array(mats, dtype=complex)
+        stacked.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stacked))
+        u, s, vh = np.linalg.svd(stacked.reshape(k, -1), full_matrices=False)
+        if len(s) < k or s[-1] <= 1e-9 * s[0]:
             raise ValueError("basis matrices are linearly dependent")
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_s", s)
+        object.__setattr__(self, "_vh", vh)
         if self.coordinates(np.eye(self.n)) is None:
             raise ValueError("the span must contain the identity")
-        # vh has orthonormal rows spanning the basis; closure is checked one
-        # left factor at a time, so only k products are held at once
-        k = len(frozen)
-        stacked = np.stack(frozen)
-        vh_adj = vh.conj().T
-        err = 0.0
-        for a in frozen:
-            prod = (a @ stacked).reshape(k, -1)
-            err = max(err, float(np.max(np.abs(prod - (prod @ vh_adj) @ vh))))
-        if err >= 1e-9:
-            raise ValueError(f"basis is not closed under products (residual {err:.3e})")
-
-    def _stack(self) -> np.ndarray:
-        return np.stack([a.reshape(-1) for a in self.elements])
+        # the two-generator route can only accept; the pairwise check decides
+        # the rest and owns the 1e-9 bound and every rejection message
+        if not _closed_by_two_generators(stacked, u, s, vh):
+            _check_closure_by_pairs(stacked, vh)
 
     @property
     def dimension(self) -> int:
         return len(self.elements)
 
     def coordinates(self, x, tol: float = 1e-9) -> np.ndarray | None:
-        """Least-squares coordinates of x in the span, or None if outside it."""
-        v = self._stack()
+        """Coordinates of x on the basis, or None if x is outside the span.
+
+        x is projected onto the orthonormal frame; the coordinates are read
+        off the projection through the stored SVD.
+        """
         target = np.asarray(x, dtype=complex).reshape(-1)
-        coeff, *_ = np.linalg.lstsq(v.T, target, rcond=None)
-        resid = float(np.max(np.abs(v.T @ coeff - target)))
+        on_frame = (self._vh @ target.conj()).conj()
+        resid = float(np.max(np.abs(self._vh.T @ on_frame - target)))
         if resid >= tol * max(1.0, float(np.max(np.abs(target)))):
             return None
-        return coeff
+        return self._u.conj() @ (on_frame / self._s)
+
+
+def _check_closure_by_pairs(stacked: np.ndarray, vh: np.ndarray) -> None:
+    """Project every product of two basis matrices onto the frame vh.
+
+    One left factor at a time, so only k products are held at once.
+    """
+    k = len(stacked)
+    vh_adj = vh.conj().T
+    err = 0.0
+    for a in stacked:
+        prod = (a @ stacked).reshape(k, -1)
+        err = max(err, float(np.max(np.abs(prod - (prod @ vh_adj) @ vh))))
+    if err >= 1e-9:
+        raise ValueError(f"basis is not closed under products (residual {err:.3e})")
+
+
+def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
+                              vh: np.ndarray) -> bool:
+    """True when the span S is shown closed from two elements of it.
+
+    Two seeded random elements r1, r2 of S, with coefficients of modulus
+    at most one on the basis, must map S into S. That takes 2k products
+    r_i F_m with the frame matrices F_m (the rows of vh), and the residuals
+    they leave off the frame, turned into an upper bound on those of the
+    products r_i B_b with the basis (the pairwise check's units), must stay
+    under a thousandth of its 1e-9 bound. The algebra r1 and r2 generate is
+    then grown from the identity, block by block: the newest orthonormal
+    vectors are multiplied by each r_i (as k x k actions on frame
+    coordinates) and orthogonalised against those found so far. If it
+    reaches dimension k, then 1 in S and r_i S in S give alg(r1, r2) = S,
+    so S is closed. False leaves the question open: a larger residual, or
+    a smaller algebra (two elements need not generate a non-semisimple one).
+    """
+    k, n, _ = stacked.shape
+    frame = vh.reshape(k, n, n)
+    coef = np.random.default_rng(0).standard_normal((2, k))
+    coef /= np.max(np.abs(coef), axis=1, keepdims=True)
+    actions = []
+    # B_b = sum_m (u s)[b, m] F_m, so a residual of r_i F_m times the largest
+    # row sum of |u s| bounds the residuals of r_i B_b from above
+    weight = float(np.max(np.abs(u) @ s))
+    for c in coef:
+        prod = (np.tensordot(c, stacked, axes=1) @ frame).reshape(k, -1)
+        # row m of the action: r_i F_m on the frame, prod @ vh^H without a conjugated copy
+        action = (np.conj(prod, out=prod) @ vh.T).conj()
+        np.conj(prod, out=prod)
+        prod -= action @ vh
+        if not weight * float(np.max(np.abs(prod))) < 1e-12:  # NaN accepts nothing
+            return False
+        actions.append(action)
+    gap = 1e-8 * max(np.linalg.norm(a, 2) for a in actions)
+    one = (vh @ np.eye(n, dtype=complex).reshape(-1)).conj()  # the identity is real
+    found = newest = (one / np.linalg.norm(one))[None, :]
+    while len(newest) and len(found) < k:
+        grown = np.concatenate([newest @ a for a in actions])
+        for _ in range(2):
+            grown -= (grown @ found.conj().T) @ found
+        _, sv, rows = np.linalg.svd(grown, full_matrices=False)
+        newest = rows[sv > gap]
+        found = np.concatenate([found, newest])
+    return len(found) == k
 
 
 def algebra_membership(basis: AlgebraBasis, x, tol: float = 1e-9) -> np.ndarray | None:
@@ -375,10 +441,9 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
     if n > ENUM_ATOM_BUDGET:
         raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
 
-    v = basis._stack()
-    _, s, vh = np.linalg.svd(v, full_matrices=False)
+    s = basis._s
     rank = int(np.sum(s > tol * s[0]))
-    b0 = vh[:rank]  # orthonormal rows spanning the same space
+    b0 = basis._vh[:rank]  # orthonormal rows spanning the same space
     search = _PatternSearch(b0, n, node_budget, tol)
     search.descend(np.eye(rank, dtype=complex))
     identity = tuple(range(n))

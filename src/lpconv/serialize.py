@@ -3,8 +3,9 @@
 Complex numbers are [re, im] pairs, permutations are index arrays, and all
 numbers are finite doubles. Decoders exist for the payloads the CLI reads:
 groups, measure weights, operators and algebra bases. Each accepts what the
-matching encoder emits; a matrix that is not rectangular, or a non-finite
-matrix entry, weight or exponent, raises SchemaError.
+matching encoder emits; a matrix that is not rectangular, a non-finite
+matrix entry, weight or exponent, or an order, n, identity or table entry
+that is not an integer, raises SchemaError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Any
 import numpy as np
 
 from .convolution import AlgebraBasis, PhasedPermutation
-from .groups import FiniteGroup, GroupIso
+from .errors import BudgetError
+from .groups import TABLE_BUDGET, FiniteGroup, GroupIso
 from .isometry import LpContext, Operator
 from .measure import FiniteMeasureAlgebra, MeasurableFunction
 from .pnorm import NormEstimate
@@ -41,10 +43,24 @@ def group_to_json(g: FiniteGroup) -> dict[str, Any]:
             "identity": g.identity}
 
 
-def group_from_json(data) -> FiniteGroup:
+def _integer(value, what: str) -> int:
     try:
-        table = tuple(tuple(int(v) for v in row) for row in data["table"])
-        return FiniteGroup(int(data["order"]), table, int(data["identity"]))
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from exc
+
+
+def group_from_json(data) -> FiniteGroup:
+    """Decode a group table; an order or table over TABLE_BUDGET raises
+    BudgetError before the table's axioms are checked."""
+    try:
+        order = _integer(data["order"], "group payload: order")
+        rows = data["table"]
+        if order > TABLE_BUDGET or len(rows) > TABLE_BUDGET:
+            raise BudgetError(f"group tables are capped at order {TABLE_BUDGET}")
+        table = tuple(tuple(_integer(v, "group payload: table entry") for v in row)
+                      for row in rows)
+        return FiniteGroup(order, table, _integer(data["identity"], "group payload: identity"))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad group payload: {exc}") from exc
 
@@ -122,7 +138,8 @@ def algebra_basis_to_json(basis: AlgebraBasis) -> dict[str, Any]:
 def algebra_basis_from_json(data) -> AlgebraBasis:
     try:
         mats = tuple(_matrix_from_json(m) for m in data["basis"])
-        return AlgebraBasis(int(data["n"]), _finite(data["p"], "algebra payload: p"), mats)
+        return AlgebraBasis(_integer(data["n"], "algebra payload: n"),
+                            _finite(data["p"], "algebra payload: p"), mats)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad algebra payload: {exc}") from exc
 

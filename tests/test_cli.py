@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpconv import serialize
 from lpconv.cli import main
@@ -86,10 +93,15 @@ NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (["measure", "rnd", "FILE", "FILE"], {"weights": [float("nan"), 1.0]}, 3),
     (["norm", "FILE"], _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
                                          p=float("nan")), 3),
+    (["recover", "FILE"], {"n": "abc", "p": 3.0, "basis": [[[[1.0, 0.0]]]]}, 3),
+    (["group", "iso", "FILE", "FILE"], {"order": "abc", "table": [[0]], "identity": 0}, 3),
+    (["recover", "FILE"], {"n": float("inf"), "p": 3.0, "basis": [[[[1.0, 0.0]]]]}, 3),
+    (["group", "iso", "FILE", "FILE"], {"order": float("inf"), "table": [[0]], "identity": 0}, 3),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
         "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
-        "weights-nan", "p-nan"])
+        "weights-nan", "p-nan", "n-not-a-number", "order-not-a-number", "n-infinite",
+        "order-infinite"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     if payload is not None:
         path = write_json(tmp_path / "input.json", payload)
@@ -116,6 +128,104 @@ def test_enumeration_cap_is_checked_before_decoding(capsys, tmp_path, monkeypatc
     code, data = run(capsys, *[paths.get(a, a) for a in argv])
     assert code == 4
     assert data["kind"] == "budget"
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("payload", [
+    {"order": 200, "table": _cyclic_table(200), "identity": 0},
+    {"order": 3, "table": _cyclic_table(3) * 67, "identity": 0},
+], ids=["order", "table-length"])
+def test_group_payload_budget_is_checked_before_validation(capsys, tmp_path, monkeypatch,
+                                                           payload):
+    def refuse(*args):
+        raise AssertionError("built a group table over the budget")
+
+    path = write_json(tmp_path / "big.json", payload)
+    monkeypatch.setattr(serialize, "FiniteGroup", refuse)
+    code, data = run(capsys, "group", "iso", path, path)
+    assert code == 4
+    assert data["kind"] == "budget"
+
+
+_NUMBER = st.one_of(st.integers(-2, 6), st.floats(),
+                    st.sampled_from([10**9, 10**40, float("nan"), float("inf"), "abc", None]))
+_ANY = st.recursive(_NUMBER, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["n", "p", "order", "table", "weights"]), inner, max_size=3)),
+    max_leaves=8)
+_VALID = {
+    "group": serialize.group_to_json(make_cyclic(3)),
+    "algebra": serialize.algebra_basis_to_json(
+        convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0))),
+    "operator": _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    "weights": {"weights": [1.0, 2.0]},
+}
+
+
+@st.composite
+def _payload(draw, kind):
+    """A valid payload, a random value, or a valid payload with one value at
+    some depth replaced by a random one or deleted (missing keys, ragged rows)."""
+    payload = copy.deepcopy(_VALID[kind])
+    action = draw(st.sampled_from(["keep", "replace", "mutate"]))
+    if action == "keep":
+        return payload
+    if action == "replace":
+        return draw(_ANY)
+    parent, key = payload, draw(st.sampled_from(sorted(payload)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    if draw(st.booleans()):
+        parent[key] = draw(st.one_of(_NUMBER, _ANY))
+    else:
+        del parent[key]
+    return payload
+
+
+_COMMANDS = [(["recover"], ["algebra"]), (["decide"], ["algebra", "algebra"]),
+             (["algebra", "unitaries"], ["algebra"]), (["norm"], ["operator"]),
+             (["group", "iso"], ["group", "group"]), (["algebra", "build"], ["group"]),
+             (["measure", "rnd"], ["weights", "weights"]),
+             (["measure", "check-rn"], ["weights", "weights", "weights"])]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_cli_fuzz_ends_in_json(data):
+    # wrong types, NaN and infinity, ragged rows, huge orders: every payload
+    # ends in one JSON document on stdout and a documented exit code
+    command, kinds = data.draw(st.sampled_from(_COMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, kind in enumerate(kinds):
+            payload = data.draw(_payload(kind))
+            paths.append(write_json(Path(tmp) / f"{i}.json", payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(command + paths)
+    assert code in range(5)
+    _strict_json(out.getvalue())
+
+
+def test_non_finite_results_end_in_json_errors(capsys, tmp_path):
+    # |x|^p overflows at this exponent: the sandwich is not finite
+    path = write_json(tmp_path / "op.json", _operator_payload(
+        [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], p=1e300))
+    code, data = run(capsys, "norm", path)
+    assert code == 1
+    assert data["kind"] == "non-finite-result"
 
 
 def test_measure_rnd(capsys, tmp_path):

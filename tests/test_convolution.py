@@ -4,11 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lpconv.convolution import (AlgebraBasis, ConvolutionContext,
-                                PhasedPermutation, algebra_membership,
-                                convolver_algebra, convolver_basis_exact,
-                                left_regular, pseudofunction_algebra,
-                                right_regular, unitary_group_enumerate)
+from lpconv import convolution
+from lpconv.convolution import (ENUM_NODE_BUDGET, ENUM_TOL, AlgebraBasis,
+                                ConvolutionContext, PhasedPermutation,
+                                _check_closure_by_pairs,
+                                _closed_by_two_generators, _PatternSearch,
+                                algebra_membership, convolver_algebra,
+                                convolver_basis_exact, left_regular,
+                                pseudofunction_algebra, right_regular,
+                                unitary_group_enumerate)
 from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
 from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product,
                            make_quaternion, make_symmetric, zoo)
@@ -161,6 +165,93 @@ def test_basis_validation_rejects_unclosed_sets():
 def test_basis_validation_rejects_more_matrices_than_entries():
     with pytest.raises(ValueError, match="linearly dependent"):
         AlgebraBasis(1, 3.0, (np.eye(1), 2 * np.eye(1)))
+
+
+def _unit(n, i, j):
+    m = np.zeros((n, n))
+    m[i, j] = 1.0
+    return m
+
+
+def _closure_cases():
+    """(name, matrices, closed, accepted by the two-generator route)."""
+    cases = []
+    for name, g in zoo() + (("S4", make_symmetric(4)),):
+        ctx = ConvolutionContext(g, 3.0)
+        cases.append((f"{name} commutant", convolver_algebra(ctx).elements, True, True))
+        cases.append((f"{name} translations", pseudofunction_algebra(ctx).elements, True, True))
+    for g in (make_dihedral(6), make_direct_product(make_quaternion(), make_cyclic(4)),
+              make_direct_product(make_quaternion(), make_cyclic(8))):
+        basis, _ = _hidden_presentation(g, np.random.default_rng(g.order))
+        cases.append((f"hidden order {g.order}", basis.elements, True, True))
+    for n in (2, 3, 4):
+        upper = [_unit(n, i, j) for i in range(n) for j in range(i, n)]
+        cases.append((f"upper triangular {n}", upper, True, True))
+    # I plus a square-zero radical of dimension 4: closed, but two elements
+    # generate only a 3-dimensional subalgebra
+    radical = [np.eye(4)] + [_unit(4, i, j) for i in (0, 1) for j in (2, 3)]
+    cases.append(("square-zero radical", radical, True, False))
+    cases.append(("3-cycle", (np.eye(3), np.roll(np.eye(3), 1, axis=0)), False, False))
+    q8 = list(pseudofunction_algebra(ConvolutionContext(make_quaternion(), 3.0)).elements)
+    q8[3] = q8[3] + 1e-3 * np.random.default_rng(5).standard_normal((8, 8))
+    cases.append(("perturbed Q8", q8, False, False))
+    cases.append(("I, E12, E23", (np.eye(3), _unit(3, 0, 1), _unit(3, 1, 2)), False, False))
+    return cases
+
+
+def _rejection(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_closure_routes_agree():
+    # the two-generator route may only accept: every verdict and every
+    # rejection message of AlgebraBasis is the pairwise check's
+    for name, mats, closed, fast in _closure_cases():
+        stacked = np.stack([np.asarray(m, dtype=complex) for m in mats])
+        k, n, _ = stacked.shape
+        u, s, vh = np.linalg.svd(stacked.reshape(k, -1), full_matrices=False)
+        full = _rejection(_check_closure_by_pairs, stacked, vh)
+        assert (full is None) == closed, name
+        assert _rejection(AlgebraBasis, n, 3.0, tuple(mats)) == full, name
+        assert _closed_by_two_generators(stacked, u, s, vh) == fast, name
+
+
+def test_enumeration_reuses_the_basis_frame(monkeypatch):
+    group = make_direct_product(make_quaternion(), make_cyclic(4))
+    basis, _ = _hidden_presentation(group, np.random.default_rng(7))
+    n, k = basis.n, basis.dimension
+    # the search run on a fresh SVD of the stack, as it was before the frame was kept
+    _, s, vh = np.linalg.svd(np.stack([a.reshape(-1) for a in basis.elements]),
+                             full_matrices=False)
+    rank = int(np.sum(s > ENUM_TOL * s[0]))
+    reference = _PatternSearch(vh[:rank], n, ENUM_NODE_BUDGET, ENUM_TOL)
+    reference.descend(np.eye(rank, dtype=complex))
+
+    searches, stack_svds = [], []
+
+    class RecordingSearch(_PatternSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a) == (k, n * n):
+            stack_svds.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(convolution, "_PatternSearch", RecordingSearch)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    units = unitary_group_enumerate(basis, 3.0)
+    assert stack_svds == []
+    assert [search.nodes for search in searches] == [reference.nodes]
+    assert len(units) == len(reference.found) == n
+    assert set(units) == set(reference.found)
 
 
 def test_enumerate_two_cycle():
