@@ -31,9 +31,22 @@ EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_BUDGET = 4
 
+NORM_STARTS_BUDGET = 1000  # random ascent starts one norm call may ask for
+
 
 class UsageError(Exception):
     """The command line names a bad or missing argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse's own failures into UsageError, which ends in JSON.
+
+    Subparsers are built with the parent's class, so this covers them too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load(path: str):
@@ -148,6 +161,10 @@ def _cmd_isom(args) -> tuple[object, int]:
 
 
 def _cmd_norm(args) -> tuple[object, int]:
+    if args.starts < 0:
+        raise UsageError(f"--starts takes a count of at least 0, got {args.starts}")
+    if args.starts > NORM_STARTS_BUDGET:
+        raise BudgetError(f"--starts capped at {NORM_STARTS_BUDGET}")
     op = serialize.operator_from_json(_load(args.file))
     ctx = op.context
     if args.p is not None:
@@ -200,7 +217,7 @@ def _cmd_suite(args) -> tuple[object, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lpconv")
+    parser = _Parser(prog="lpconv")
     parser.add_argument("--out", help="write the JSON result to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -271,7 +288,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except UsageError as exc:
+        _emit({"error": str(exc), "kind": "usage"}, None)
+        return EXIT_USAGE
+    except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         payload, code = args.handler(args)

@@ -134,11 +134,13 @@ def _check_closure_by_pairs(stacked: np.ndarray, vh: np.ndarray) -> None:
     """
     k = len(stacked)
     vh_adj = vh.conj().T
-    err = 0.0
+    resids = []
     for a in stacked:
         prod = (a @ stacked).reshape(k, -1)
-        err = max(err, float(np.max(np.abs(prod - (prod @ vh_adj) @ vh))))
-    if err >= 1e-9:
+        resids.append(np.max(np.abs(prod - (prod @ vh_adj) @ vh)))
+    # np.max keeps a NaN (products that overflowed), where max() would drop it
+    err = float(np.max(resids))
+    if not err < 1e-9:
         raise ValueError(f"basis is not closed under products (residual {err:.3e})")
 
 

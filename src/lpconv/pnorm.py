@@ -3,8 +3,9 @@
 Exact p -> p norms of general complex matrices are out of reach, so the
 estimator returns a sandwich: a lower bound certified by an explicit
 witness vector, and an upper bound from a nonlinear power iteration on the
-entrywise-absolute majorant. Generalized permutation matrices (at most one
-nonzero per row and column) admit an exact closed form and collapse the
+entrywise-absolute majorant. One signed-power iteration polishes the lower
+bound and runs on the majorant. Generalized permutation matrices (at most
+one nonzero per row and column) admit an exact closed form and collapse the
 sandwich. Weighted spaces are reduced to unweighted ones by the diagonal
 similarity xi -> w^(1/p) * xi before iterating.
 """
@@ -22,6 +23,7 @@ from .isometry import LampertiForm, LpContext, Operator, lamperti_operator, vect
 BOYD_TOL = 1e-10
 BOYD_MAX_ITER = 10_000
 _ASCENT_MAX_ITER = 400
+_POLISH_MAX_ITER = 300
 _TINY = np.finfo(float).tiny
 
 
@@ -36,7 +38,7 @@ class NormEstimate:
 
     From pnorm_estimate, whose ascent starts run as the columns of one
     batch, iterations counts the ascent iterations of every start, plus the
-    polish passes, plus the iterations of both power-iteration runs.
+    passes of the polish and of both runs on the majorant.
     """
 
     lower: float
@@ -100,15 +102,14 @@ def _unweighted_norm(v: np.ndarray, p: float):
     return np.add.reduce(np.abs(v) ** p, axis=-1) ** (1.0 / p)
 
 
-def boyd_iterate(obj, ctx: LpContext, tol: float = BOYD_TOL,
-                 max_iter: int = BOYD_MAX_ITER, start=None) -> NormEstimate:
+def boyd_iterate(obj, ctx: LpContext) -> NormEstimate:
     """Nonlinear power iteration for the p-norm of a nonnegative matrix.
 
-    Alternates the matrix with dual-exponent signed-power maps; the Rayleigh
-    quotient is nondecreasing along the iteration (guarded per step) and
-    converges to the norm for entrywise-positive input. The returned upper
-    bound is the interpolation bound between the column-sum and row-sum
-    norms, which is rigorous for any input.
+    Runs the signed-power iteration from the all-ones vector; for
+    nonnegative input its quotient is nondecreasing and converges to the
+    norm for entrywise-positive input. The returned upper bound is the
+    interpolation bound between the column-sum and row-sum norms, which is
+    rigorous for any input.
     """
     p = ctx.p
     _require_interior_p(p)
@@ -116,48 +117,14 @@ def boyd_iterate(obj, ctx: LpContext, tol: float = BOYD_TOL,
     if np.any(m.imag != 0.0) or np.any(m.real < 0.0):
         raise ValueError("the power iteration needs an entrywise-nonnegative matrix")
     a = _reduce(m.real, ctx)
-    n = a.shape[0]
     pd = p / (p - 1.0)
 
     col_sums = a.sum(axis=0).max(initial=0.0)
     row_sums = a.sum(axis=1).max(initial=0.0)
     interp_upper = col_sums ** (1.0 / p) * row_sums ** (1.0 / pd)
 
-    if start is None:
-        x = np.ones(n)
-    else:
-        x = np.abs(np.asarray(start, dtype=float).reshape(-1)).copy()
-        if x.max() <= 0.0:
-            x = np.ones(n)
-    x = x / _unweighted_norm(x, p)
-
-    prev = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = a @ x
-        ny = _unweighted_norm(y, p)
-        if ny == 0.0:
-            prev = 0.0
-            converged = True
-            break
-        ray = ny
-        if ray < prev - 1e-12 * max(1.0, prev):
-            raise ArithmeticError("Rayleigh sequence decreased; input violated the contract")
-        if abs(ray - prev) < tol:
-            prev = ray
-            converged = True
-            break
-        prev = ray
-        z = (y / ny) ** (p - 1.0)
-        v = a.T @ z
-        nv = _unweighted_norm(v, pd)
-        if nv == 0.0:
-            converged = True
-            break
-        x = (v / nv) ** (pd - 1.0)
-        x = x / _unweighted_norm(x, p)
-
+    _, x, iterations, converged = _power_iterate(a, p, np.ones(a.shape[0]),
+                                                 BOYD_TOL, BOYD_MAX_ITER)
     witness = (x / ctx.weight_array ** (1.0 / p)).astype(complex)
     lower = _rayleigh(m, witness, ctx)
     upper = max(interp_upper, lower)
@@ -184,45 +151,48 @@ def _signed_power(z: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def _fixed_point_polish(a: np.ndarray, p: float, x0: np.ndarray,
-                        max_iter: int = 300) -> tuple[float, np.ndarray, int]:
-    """Phase-aware power iteration, keeping the best Rayleigh value seen.
+def _power_iterate(a: np.ndarray, p: float, x0: np.ndarray, tol: float,
+                   max_iter: int) -> tuple[float, np.ndarray, int, bool]:
+    """Signed-power iteration for max |a x|_p on the unweighted unit p-sphere.
 
-    Alternates a with the dual-exponent signed-power maps; unlike the
-    nonnegative case the quotient need not be monotone for complex input,
-    so the best iterate is retained rather than the last. The iteration
-    stops once an iterate moves by at most 1e-12 (max-abs): it has settled
-    at its fixed point, and further passes change nothing but roundoff.
+    Alternates a with the dual-exponent signed-power maps (Boyd, LAA 9,
+    1974; Higham, Numer. Math. 62, 1992). The value is nondecreasing for
+    nonnegative input but need not be for complex input, so the best
+    iterate is kept rather than the last. The iteration stops once a pass
+    ends at or below the previous best plus tol, or once an iterate moves by
+    at most 1e-12 (max-abs): it has settled at its fixed point. Returns the
+    best value, its iterate, the passes run, and whether it stopped before
+    max_iter passes.
     """
     pd = p / (p - 1.0)
     ah = a.conj().T
     nx = _unweighted_norm(x0, p)
     if nx == 0.0:
-        return 0.0, x0, 0
+        return 0.0, x0, 0, True
     x = x0 / nx
-    best_val = _unweighted_norm(a @ x, p)
-    best_x = x
-    iterations = 0
+    y = a @ x
+    val = _unweighted_norm(y, p)
+    best_val, best_x = val, x
     for iterations in range(1, max_iter + 1):
-        y = a @ x
-        ny = _unweighted_norm(y, p)
-        if ny == 0.0:
+        if val == 0.0:
             break
-        w = ah @ _signed_power(y / ny, p)
+        w = ah @ _signed_power(y / val, p)
         nw = _unweighted_norm(w, pd)
         if nw == 0.0:
             break
         prev = x
         x = _signed_power(w / nw, pd)
         x = x / _unweighted_norm(x, p)
-        val = _unweighted_norm(a @ x, p)
+        y = a @ x
+        val = _unweighted_norm(y, p)
+        settled = val <= best_val + tol
         if val > best_val + 1e-14 * max(1.0, best_val):
             best_val, best_x = val, x
-        elif val <= best_val:
+        if settled or np.abs(x - prev).max() <= 1e-12:
             break
-        if np.abs(x - prev).max() <= 1e-12:
-            break
-    return best_val, best_x, iterations
+    else:
+        return best_val, best_x, max_iter, False
+    return best_val, best_x, iterations, True
 
 
 def _apply(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -303,14 +273,15 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     """Sandwich the p -> p norm of a complex matrix.
 
     Lower bound: best value over multi-start projected gradient ascent,
-    polished by the phase-aware power iteration; the starts are the atom
-    basis vectors, the power-iteration witness of the absolute matrix, and
+    polished by the power iteration on the matrix; the starts are the atom
+    basis vectors, the power iteration's point on the absolute matrix, and
     seeded random draws, and they run together as the columns of one n x k
     batch. Upper bound: the power iteration value on the entrywise-absolute
-    majorant, re-run from the modulus of the best witness so the sandwich
-    cannot invert. Generalized permutation input collapses to the exact
-    closed form. The returned iterations are the ascent iterations of every
-    start, plus the polish passes, plus the iterations of both power runs.
+    majorant, re-run from the modulus of the best point so the sandwich
+    cannot invert. Every run works in reduced (unweighted) coordinates.
+    Generalized permutation input collapses to the exact closed form. The
+    returned iterations are the ascent iterations of every start, plus the
+    passes of the polish and of both majorant runs.
     """
     p = ctx.p
     _require_interior_p(p)
@@ -333,24 +304,26 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
         return NormEstimate(exact, exact, witness, 0, True)
 
     a = _reduce(m, ctx)
-    boyd_first = boyd_iterate(np.abs(m), ctx)
-    iterations = boyd_first.iterations
+    # the similarity is a positive diagonal, so this is the reduced |m|
+    majorant = np.abs(a)
+    first, first_x, iterations, first_converged = _power_iterate(
+        majorant, p, np.ones(n), BOYD_TOL, BOYD_MAX_ITER)
 
-    # columns: the atoms, the power-iteration witness, then the random draws
+    # columns: the atoms, the power-iteration iterate, then the random draws
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((starts, 2, n))
     x0 = np.empty((n, n + 1 + starts), dtype=complex)
     x0[:, :n] = np.eye(n)
-    x0[:, n] = boyd_first.witness * w ** (1.0 / p)
+    x0[:, n] = first_x
     x0[:, n + 1:] = (draws[:, 0] + 1j * draws[:, 1]).T
 
     vals, xs, counts = _batched_ascent(a, p, x0)
     iterations += int(counts.sum())
     best = int(np.argmax(vals))
     best_val, best_x = vals[best], xs[:, best]
-    # terminal convergence of steepest ascent is slow on flat maxima; one
-    # polish pass from the best point closes the remaining gap
-    val, x, its = _fixed_point_polish(a, p, best_x)
+    # terminal convergence of steepest ascent is slow on flat maxima; the
+    # power iteration from the best point closes the remaining gap
+    val, x, its, _ = _power_iterate(a, p, best_x, 0.0, _POLISH_MAX_ITER)
     iterations += its
     if val > best_val:
         best_val, best_x = val, x
@@ -358,12 +331,13 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     witness = (best_x / w ** (1.0 / p)).astype(complex)
     lower = _rayleigh(m, witness, ctx)
 
-    boyd_second = boyd_iterate(np.abs(m), ctx, start=np.abs(witness))
-    iterations += boyd_second.iterations
+    second, _, its, second_converged = _power_iterate(
+        majorant, p, np.abs(best_x), BOYD_TOL, BOYD_MAX_ITER)
+    iterations += its
     # the majorant dominates every Rayleigh quotient of m; max() only
     # absorbs last-digit roundoff
-    upper = max(boyd_first.lower, boyd_second.lower, lower)
-    converged = boyd_first.converged and boyd_second.converged
+    upper = max(first, second, lower)
+    converged = first_converged and second_converged
     return NormEstimate(lower, upper, witness, iterations, converged)
 
 

@@ -71,11 +71,17 @@ def test_unknown_command_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_help_still_prints_help(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lpconv")
+
+
 def _operator_payload(matrix, p=3.0):
     return {"context": {"weights": [1.0, 1.0], "p": p}, "matrix": matrix}
 
 
 NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
 
 
 @pytest.mark.parametrize("argv, payload, expected", [
@@ -97,11 +103,18 @@ NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (["group", "iso", "FILE", "FILE"], {"order": "abc", "table": [[0]], "identity": 0}, 3),
     (["recover", "FILE"], {"n": float("inf"), "p": 3.0, "basis": [[[[1.0, 0.0]]]]}, 3),
     (["group", "iso", "FILE", "FILE"], {"order": float("inf"), "table": [[0]], "identity": 0}, 3),
+    (["norm", "FILE", "--starts", "-1"], _VALID_OPERATOR, 2),
+    (["norm", "FILE", "--starts", "100000000000000"], _VALID_OPERATOR, 4),
+    (["frobnicate"], None, 2),
+    (["norm", "FILE", "--starts", "abc"], _VALID_OPERATOR, 2),
+    (["demo", "p3"], None, 2),
+    (["recover"], None, 2),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
         "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
         "weights-nan", "p-nan", "n-not-a-number", "order-not-a-number", "n-infinite",
-        "order-infinite"])
+        "order-infinite", "starts-negative", "starts-over-budget", "unknown-command",
+        "starts-not-a-number", "bad-choice", "missing-positional"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     if payload is not None:
         path = write_json(tmp_path / "input.json", payload)
@@ -160,7 +173,7 @@ _VALID = {
     "group": serialize.group_to_json(make_cyclic(3)),
     "algebra": serialize.algebra_basis_to_json(
         convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0))),
-    "operator": _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    "operator": _VALID_OPERATOR,
     "weights": {"weights": [1.0, 2.0]},
 }
 

@@ -192,6 +192,9 @@ def _closure_cases():
     radical = [np.eye(4)] + [_unit(4, i, j) for i in (0, 1) for j in (2, 3)]
     cases.append(("square-zero radical", radical, True, False))
     cases.append(("3-cycle", (np.eye(3), np.roll(np.eye(3), 1, axis=0)), False, False))
+    # products overflow, so the residual is NaN and must still reject
+    cases.append(("3-cycle at 1e200", (1e200 * np.eye(3), 1e200 * np.roll(np.eye(3), 1, axis=0)),
+                  False, False))
     q8 = list(pseudofunction_algebra(ConvolutionContext(make_quaternion(), 3.0)).elements)
     q8[3] = q8[3] + 1e-3 * np.random.default_rng(5).standard_normal((8, 8))
     cases.append(("perturbed Q8", q8, False, False))

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpconv import pnorm
 from lpconv.isometry import (LampertiForm, LpContext, lamperti_operator,
                              transform_isometry, vector_norm)
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction)
-from lpconv.pnorm import (_batched_ascent, _fixed_point_polish, boyd_iterate,
-                          dual_transpose, norm_witness_disjoint, pnorm_estimate,
-                          pnorm_genperm_exact, split_norm_ratio)
+from lpconv.pnorm import (BOYD_MAX_ITER, BOYD_TOL, _batched_ascent, _power_iterate, _reduce,
+                          _unweighted_norm, boyd_iterate, dual_transpose,
+                          norm_witness_disjoint, pnorm_estimate, pnorm_genperm_exact,
+                          split_norm_ratio)
 
 COUNTING2 = FiniteMeasureAlgebra((1.0, 1.0))
 
@@ -181,11 +183,57 @@ def test_polish_stops_at_its_fixed_point():
     rng = np.random.default_rng(1)
     a = _circulant(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     vals, xs, _ = _batched_ascent(a, 3.0, np.eye(4))
-    val, x, its = _fixed_point_polish(a, 3.0, xs[:, np.argmax(vals)])
-    assert its < 300
+    val, x, its, converged = _power_iterate(a, 3.0, xs[:, np.argmax(vals)], 0.0, 300)
+    assert its < 300 and converged
     assert val == pytest.approx(3.5702323276388266, rel=1e-12)
-    again, _, _ = _fixed_point_polish(a, 3.0, x)
+    again, _, _, _ = _power_iterate(a, 3.0, x, 0.0, 300)
     assert again <= val * (1.0 + 1e-14)
+
+
+@given(st.integers(0, 2**16), st.integers(2, 6), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
+@settings(max_examples=25)
+def test_power_iterate_on_positive_matrices(seed, n, p):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.05, 1.0, (n, n))
+    ctx = ctx_for(rng.uniform(0.5, 2.0, n), p)
+    a = _reduce(m, ctx)
+    # from ones it is boyd_iterate's run, read in reduced coordinates
+    val, x, _, converged = _power_iterate(a, p, np.ones(n), BOYD_TOL, BOYD_MAX_ITER)
+    assert converged
+    assert val == pytest.approx(boyd_iterate(m, ctx).lower, rel=1e-12)
+    # from any positive start, with either stop, it keeps at least the start's value
+    x0 = rng.uniform(0.01, 1.0, n)
+    start = _unweighted_norm(a @ x0, p) / _unweighted_norm(x0, p)
+    for tol, max_iter in ((0.0, 300), (BOYD_TOL, BOYD_MAX_ITER)):
+        val, x, _, _ = _power_iterate(a, p, x0, tol, max_iter)
+        assert val >= start
+        assert _unweighted_norm(a @ x, p) / _unweighted_norm(x, p) == pytest.approx(val, rel=1e-12)
+
+
+def test_second_majorant_run_starts_at_the_reduced_witness(monkeypatch):
+    # on a weighted space the best ascent point lives in reduced coordinates,
+    # witness * w^(1/p); the majorant re-run must start there, not at |witness|
+    rng = np.random.default_rng(3)
+    n, p = 4, 3.0
+    weights = np.array([0.05, 0.4, 1.0, 6.0])
+    ctx = ctx_for(weights, p)
+    m = rng.uniform(0.1, 1.0, (n, n))
+    runs = []
+
+    def recording(a, p_, x0, tol, max_iter):
+        out = _power_iterate(a, p_, x0, tol, max_iter)
+        runs.append((np.array(x0), out))
+        return out
+
+    monkeypatch.setattr(pnorm, "_power_iterate", recording)
+    est = pnorm_estimate(m, ctx, starts=3, seed=0)
+    start, (value, _, passes, _) = runs[-1]
+    reduced = np.abs(est.witness) * weights ** (1.0 / p)
+    assert start / _unweighted_norm(start, p) == pytest.approx(
+        reduced / _unweighted_norm(reduced, p), rel=1e-12)
+    # m is nonnegative, so that point already is the majorant's fixed point
+    assert passes == 1
+    assert value == pytest.approx(est.lower, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["zero-column", "rank-one"])
