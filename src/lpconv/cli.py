@@ -31,7 +31,7 @@ EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_BUDGET = 4
 
-NORM_STARTS_BUDGET = 1000  # random ascent starts one norm call may ask for
+NORM_STARTS_BUDGET = 1000  # random starts one norm call may ask for
 
 
 class UsageError(Exception):

@@ -3,9 +3,10 @@
 Exact p -> p norms of general complex matrices are out of reach, so the
 estimator returns a sandwich: a lower bound certified by an explicit
 witness vector, and an upper bound from a nonlinear power iteration on the
-entrywise-absolute majorant. One signed-power iteration polishes the lower
-bound and runs on the majorant. Generalized permutation matrices (at most
-one nonzero per row and column) admit an exact closed form and collapse the
+entrywise-absolute majorant. One signed-power iteration does both: it runs
+every start of the lower bound on the matrix, as the rows of one block, and
+it runs on the majorant. Generalized permutation matrices (at most one
+nonzero per row and column) admit an exact closed form and collapse the
 sandwich. Weighted spaces are reduced to unweighted ones by the diagonal
 similarity xi -> w^(1/p) * xi before iterating.
 """
@@ -22,8 +23,7 @@ from .isometry import LampertiForm, LpContext, Operator, lamperti_operator, vect
 
 BOYD_TOL = 1e-10
 BOYD_MAX_ITER = 10_000
-_ASCENT_MAX_ITER = 400
-_POLISH_MAX_ITER = 300
+_START_MAX_ITER = 30
 _TINY = np.finfo(float).tiny
 
 
@@ -36,9 +36,9 @@ class NormEstimate:
     iteration on the absolute matrix reached its global fixed point, which
     holds for entrywise-positive input.
 
-    From pnorm_estimate, whose ascent starts run as the columns of one
-    batch, iterations counts the ascent iterations of every start, plus the
-    passes of the polish and of both runs on the majorant.
+    From pnorm_estimate, iterations counts the power-iteration passes of
+    every start, of the best start's continuation, and of both runs on the
+    majorant.
     """
 
     lower: float
@@ -123,12 +123,12 @@ def boyd_iterate(obj, ctx: LpContext) -> NormEstimate:
     row_sums = a.sum(axis=1).max(initial=0.0)
     interp_upper = col_sums ** (1.0 / p) * row_sums ** (1.0 / pd)
 
-    _, x, iterations, converged = _power_iterate(a, p, np.ones(a.shape[0]),
-                                                 BOYD_TOL, BOYD_MAX_ITER)
-    witness = (x / ctx.weight_array ** (1.0 / p)).astype(complex)
+    _, x, passes, converged = _power_iterate(a, p, np.ones((1, a.shape[0])),
+                                             BOYD_TOL, BOYD_MAX_ITER)
+    witness = (x[0] / ctx.weight_array ** (1.0 / p)).astype(complex)
     lower = _rayleigh(m, witness, ctx)
     upper = max(interp_upper, lower)
-    return NormEstimate(lower, upper, witness, iterations, converged)
+    return NormEstimate(lower, upper, witness, int(passes[0]), bool(converged[0]))
 
 
 def _rayleigh(m: np.ndarray, xi: np.ndarray, ctx: LpContext) -> float:
@@ -145,143 +145,105 @@ def _signed_power(z: np.ndarray, q: float) -> np.ndarray:
     overflow and they carry no direction worth keeping.
     """
     az = np.abs(z)
-    out = np.zeros_like(z)
     mask = az > _TINY
+    if mask.all():
+        # the usual case; the same formula without the gathers and scatter
+        return az ** (q - 1.0) * (z / az)
+    out = np.zeros_like(z)
     out[mask] = az[mask] ** (q - 1.0) * (z[mask] / az[mask])
     return out
 
 
-def _power_iterate(a: np.ndarray, p: float, x0: np.ndarray, tol: float,
-                   max_iter: int) -> tuple[float, np.ndarray, int, bool]:
-    """Signed-power iteration for max |a x|_p on the unweighted unit p-sphere.
-
-    Alternates a with the dual-exponent signed-power maps (Boyd, LAA 9,
-    1974; Higham, Numer. Math. 62, 1992). The value is nondecreasing for
-    nonnegative input but need not be for complex input, so the best
-    iterate is kept rather than the last. The iteration stops once a pass
-    ends at or below the previous best plus tol, or once an iterate moves by
-    at most 1e-12 (max-abs): it has settled at its fixed point. Returns the
-    best value, its iterate, the passes run, and whether it stopped before
-    max_iter passes.
-    """
-    pd = p / (p - 1.0)
-    ah = a.conj().T
-    nx = _unweighted_norm(x0, p)
-    if nx == 0.0:
-        return 0.0, x0, 0, True
-    x = x0 / nx
-    y = a @ x
-    val = _unweighted_norm(y, p)
-    best_val, best_x = val, x
-    for iterations in range(1, max_iter + 1):
-        if val == 0.0:
-            break
-        w = ah @ _signed_power(y / val, p)
-        nw = _unweighted_norm(w, pd)
-        if nw == 0.0:
-            break
-        prev = x
-        x = _signed_power(w / nw, pd)
-        x = x / _unweighted_norm(x, p)
-        y = a @ x
-        val = _unweighted_norm(y, p)
-        settled = val <= best_val + tol
-        if val > best_val + 1e-14 * max(1.0, best_val):
-            best_val, best_x = val, x
-        if settled or np.abs(x - prev).max() <= 1e-12:
-            break
-    else:
-        return best_val, best_x, max_iter, False
-    return best_val, best_x, iterations, True
-
-
 def _apply(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # one matrix-vector product per row: each row is multiplied exactly as a
-    # lone vector would be, whatever else is in the batch
+    # lone vector would be, whatever else is in the block
     return (a @ rows[..., None])[..., 0]
 
 
-def _batched_ascent(a: np.ndarray, p: float, x0: np.ndarray,
-                    max_iter: int = _ASCENT_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected gradient ascent of |a x|_p on the unweighted unit p-sphere.
+def _power_iterate(a: np.ndarray, p: float, x0: np.ndarray, tol: float,
+                   max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signed-power iteration for max |a x|_p on the unweighted unit p-sphere.
 
-    Each column of the n x k block x0 is one start. Every column keeps its
-    own step, backtracking line search and iteration count, and stops on
-    its own (zero gradient, or no step above 1e-12 improves it); stopped
-    columns leave the live block. A zero column stays zero with value 0.
-    The starts are held one per row and every product and sum runs row by
-    row, so a column gets the same numbers in any batch as on its own.
-    Returns the values, the final iterates as columns, and the per-column
-    iteration counts.
+    Alternates a with the dual-exponent signed-power maps (Boyd, LAA 9,
+    1974; Higham, Numer. Math. 62, 1992). Each row of the k x n block x0 is
+    one start with its own run. The value is nondecreasing for nonnegative
+    input but need not be for complex input, so each row keeps its best
+    iterate rather than its last. A row stops once a pass ends at or below
+    its best plus tol, once its iterate moves by at most 1e-12 (max-abs), or
+    on a zero value or a zero dual image; a zero row stays zero with 0
+    passes. Every product and sum runs row by row, so a row gets the same
+    numbers in any block as on its own. Returns per row the best value, its
+    iterate, the passes run, and whether it stopped before max_iter passes.
     """
-    x = np.array(x0.T, dtype=complex, order="C")
-    vals = np.zeros(len(x))
-    counts = np.zeros(len(x), dtype=int)
+    pd = p / (p - 1.0)
     ah = a.conj().T
-    wexp = p - 2.0
-    nx = _unweighted_norm(x, p)
-    # the live starts: their indices, iterates, values and steps
+    k = len(x0)
+    best_val = np.zeros(k)
+    best_x = np.array(x0, dtype=np.result_type(a, x0, float))
+    passes = np.zeros(k, dtype=int)
+    nx = _unweighted_norm(x0, p)
+    # the live rows: their indices, iterates, images, values, best values and
+    # best iterates
     live = np.flatnonzero(nx > 0.0)
-    xl = x[live] / nx[live, None]
-    vl = _unweighted_norm(_apply(a, xl), p)
-    sl = np.full(live.size, 0.5)
-    # a trial point that is exactly zero normalizes to NaN, which never
-    # passes the improvement test; its step is halved like any other miss
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for it in range(1, max_iter + 1):
-            if live.size == 0:
-                break
-            y = _apply(a, xl)
-            ay = np.abs(y)
-            # |y|^(p-2) y with (sub)zero entries masked (p < 2 would blow up)
-            weight = np.zeros_like(ay)
-            mask = ay > _TINY
-            weight[mask] = ay[mask] ** wexp
-            g = _apply(ah, weight * y)
-            gn = np.linalg.norm(g, axis=-1)
-            improved = np.zeros(live.size, dtype=bool)
-            # backtracking line search over the starts still trying; every
-            # live step exceeds 1e-12 when it starts
-            t = np.flatnonzero(gn > 0.0)
-            while t.size:
-                xn = xl[t] + sl[t, None] * g[t] / gn[t, None]
-                xn /= _unweighted_norm(xn, p)[:, None]
-                vn = _unweighted_norm(_apply(a, xn), p)
-                old = vl[t]
-                up = vn > old + 1e-12 * np.maximum(1.0, old)
-                won = t[up]
-                xl[won] = xn[up]
-                vl[won] = vn[up]
-                sl[won] = np.minimum(sl[won] * 2.0, 1.0)
-                improved[won] = True
-                t = t[~up]
-                sl[t] *= 0.5
-                t = t[sl[t] > 1e-12]
-            if not improved.all():
-                stop = ~improved
-                x[live[stop]] = xl[stop]
-                vals[live[stop]] = vl[stop]
-                counts[live[stop]] = it
-                live, xl, vl, sl = live[improved], xl[improved], vl[improved], sl[improved]
-    x[live] = xl
-    vals[live] = vl
-    counts[live] = max_iter
-    return vals, x.T, counts
+    x = best_x[live] / nx[live, None]
+    y = _apply(a, x)
+    val = _unweighted_norm(y, p)
+    bv, bx = val, x
+
+    def retire(stop, it):
+        rows = live[stop]
+        best_val[rows] = bv[stop]
+        best_x[rows] = bx[stop]
+        passes[rows] = it
+
+    # a zero value ends a row in its first pass; a later pass that ends at
+    # zero is settled
+    go = val > 0.0
+    if not go.all():
+        retire(~go, 1)
+        live, x, y, val, bv, bx = live[go], x[go], y[go], val[go], bv[go], bx[go]
+    for it in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        w = _apply(ah, _signed_power(y / val[:, None], p))
+        nw = _unweighted_norm(w, pd)
+        if not nw.all():
+            # a zero dual image ends its row before it is divided by
+            go = nw > 0.0
+            retire(~go, it)
+            live, x, w, nw, bv, bx = live[go], x[go], w[go], nw[go], bv[go], bx[go]
+        prev = x
+        x = _signed_power(w / nw[:, None], pd)
+        x = x / _unweighted_norm(x, p)[:, None]
+        y = _apply(a, x)
+        val = _unweighted_norm(y, p)
+        settled = val <= bv + tol
+        gain = val > bv + 1e-14 * np.maximum(1.0, bv)
+        bv = np.where(gain, val, bv)
+        bx = np.where(gain[:, None], x, bx)
+        go = ~settled & (np.abs(x - prev).max(axis=1) > 1e-12)
+        if not go.all():
+            retire(~go, it)
+            live, x, y, val, bv, bx = live[go], x[go], y[go], val[go], bv[go], bx[go]
+    retire(slice(None), max_iter)
+    converged = np.ones(k, dtype=bool)
+    converged[live] = False
+    return best_val, best_x, passes, converged
 
 
 def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormEstimate:
     """Sandwich the p -> p norm of a complex matrix.
 
-    Lower bound: best value over multi-start projected gradient ascent,
-    polished by the power iteration on the matrix; the starts are the atom
-    basis vectors, the power iteration's point on the absolute matrix, and
-    seeded random draws, and they run together as the columns of one n x k
-    batch. Upper bound: the power iteration value on the entrywise-absolute
-    majorant, re-run from the modulus of the best point so the sandwich
-    cannot invert. Every run works in reduced (unweighted) coordinates.
-    Generalized permutation input collapses to the exact closed form. The
-    returned iterations are the ascent iterations of every start, plus the
-    passes of the polish and of both majorant runs.
+    Lower bound: the best value of the signed-power iteration on the matrix
+    over its starts, the atom basis vectors, the first majorant run's point
+    and seeded random draws. They run together as the rows of one block for
+    a few passes, and only the best start, if it has not settled, goes on to
+    its fixed point. Upper bound: the power iteration value on the
+    entrywise-absolute majorant, re-run from the modulus of the best point so
+    the sandwich cannot invert. Every run works in reduced (unweighted)
+    coordinates. Generalized permutation input collapses to the exact closed
+    form. The returned iterations are the passes of every start, of the
+    continuation and of both majorant runs.
     """
     p = ctx.p
     _require_interior_p(p)
@@ -306,38 +268,41 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     a = _reduce(m, ctx)
     # the similarity is a positive diagonal, so this is the reduced |m|
     majorant = np.abs(a)
-    first, first_x, iterations, first_converged = _power_iterate(
-        majorant, p, np.ones(n), BOYD_TOL, BOYD_MAX_ITER)
+    first, first_x, passes, first_converged = _power_iterate(
+        majorant, p, np.ones((1, n)), BOYD_TOL, BOYD_MAX_ITER)
+    iterations = int(passes[0])
 
-    # columns: the atoms, the power-iteration iterate, then the random draws
+    # rows: the atoms, the first majorant run's point, then the random draws
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((starts, 2, n))
-    x0 = np.empty((n, n + 1 + starts), dtype=complex)
-    x0[:, :n] = np.eye(n)
-    x0[:, n] = first_x
-    x0[:, n + 1:] = (draws[:, 0] + 1j * draws[:, 1]).T
+    x0 = np.empty((n + 1 + starts, n), dtype=complex)
+    x0[:n] = np.eye(n)
+    x0[n] = first_x[0]
+    x0[n + 1:] = draws[:, 0] + 1j * draws[:, 1]
 
-    vals, xs, counts = _batched_ascent(a, p, x0)
-    iterations += int(counts.sum())
+    vals, xs, passes, settled = _power_iterate(a, p, x0, 0.0, _START_MAX_ITER)
+    iterations += int(passes.sum())
     best = int(np.argmax(vals))
-    best_val, best_x = vals[best], xs[:, best]
-    # terminal convergence of steepest ascent is slow on flat maxima; the
-    # power iteration from the best point closes the remaining gap
-    val, x, its, _ = _power_iterate(a, p, best_x, 0.0, _POLISH_MAX_ITER)
-    iterations += its
-    if val > best_val:
-        best_val, best_x = val, x
+    best_val, best_x = vals[best], xs[best]
+    if not settled[best]:
+        # progress on a flat maximum is slow; the best start alone goes on
+        # until a pass gains at most a few ulps
+        val, x, passes, _ = _power_iterate(a, p, best_x[None], 1e-15 * best_val,
+                                           BOYD_MAX_ITER)
+        iterations += int(passes[0])
+        if val[0] > best_val:
+            best_val, best_x = val[0], x[0]
 
     witness = (best_x / w ** (1.0 / p)).astype(complex)
     lower = _rayleigh(m, witness, ctx)
 
-    second, _, its, second_converged = _power_iterate(
-        majorant, p, np.abs(best_x), BOYD_TOL, BOYD_MAX_ITER)
-    iterations += its
+    second, _, passes, second_converged = _power_iterate(
+        majorant, p, np.abs(best_x)[None], BOYD_TOL, BOYD_MAX_ITER)
+    iterations += int(passes[0])
     # the majorant dominates every Rayleigh quotient of m; max() only
     # absorbs last-digit roundoff
-    upper = max(first, second, lower)
-    converged = first_converged and second_converged
+    upper = max(first[0], second[0], lower)
+    converged = bool(first_converged[0] and second_converged[0])
     return NormEstimate(lower, upper, witness, iterations, converged)
 
 

@@ -8,10 +8,12 @@ from lpconv.isometry import (LampertiForm, LpContext, lamperti_operator,
                              transform_isometry, vector_norm)
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction)
-from lpconv.pnorm import (BOYD_MAX_ITER, BOYD_TOL, _batched_ascent, _power_iterate, _reduce,
-                          _unweighted_norm, boyd_iterate, dual_transpose,
-                          norm_witness_disjoint, pnorm_estimate, pnorm_genperm_exact,
-                          split_norm_ratio)
+from lpconv.pnorm import (BOYD_MAX_ITER, BOYD_TOL, _power_iterate, _reduce, _unweighted_norm,
+                          boyd_iterate, dual_transpose, norm_witness_disjoint, pnorm_estimate,
+                          pnorm_genperm_exact, split_norm_ratio)
+
+# the norm engine must stop a run before it divides by a vanishing value
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 COUNTING2 = FiniteMeasureAlgebra((1.0, 1.0))
 
@@ -152,23 +154,25 @@ def test_holder_duality_of_estimates(seed):
 @given(st.integers(0, 2**16), st.integers(2, 8), st.sampled_from([1.2, 1.5, 3.0, 4.0]),
        st.booleans())
 @settings(max_examples=25)
-def test_batched_ascent_columns_do_not_interact(seed, n, p, zero_column):
+def test_power_iterate_rows_do_not_interact(seed, n, p, zero_column):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     dead = int(rng.integers(n))
     if zero_column:
         a[:, dead] = 0.0
-    x0 = np.concatenate([np.eye(n), np.zeros((n, 1)),
-                         rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))], axis=1)
-    vals, xs, counts = _batched_ascent(a, p, x0)
-    for j in range(x0.shape[1]):
-        alone_vals, _, alone_counts = _batched_ascent(a, p, x0[:, [j]])
-        assert vals[j] == pytest.approx(alone_vals[0], rel=1e-12, abs=1e-12)
-        assert counts[j] == alone_counts[0]
-    # the zero start never moves; an atom on a zero column stops at once
-    assert vals[n] == 0.0 and counts[n] == 0 and not xs[:, n].any()
-    if zero_column:
-        assert vals[dead] == 0.0 and counts[dead] == 1
+    x0 = np.concatenate([np.eye(n), np.zeros((1, n)),
+                         rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
+    for tol, max_iter in ((0.0, 30), (BOYD_TOL, 300)):
+        vals, xs, passes, converged = _power_iterate(a, p, x0, tol, max_iter)
+        for j in range(len(x0)):
+            alone = _power_iterate(a, p, x0[[j]], tol, max_iter)
+            assert vals[j] == alone[0][0]
+            assert np.array_equal(xs[j], alone[1][0])
+            assert passes[j] == alone[2][0] and converged[j] == alone[3][0]
+        # the zero start never moves; an atom on a zero column stops at once
+        assert vals[n] == 0.0 and passes[n] == 0 and not xs[n].any()
+        if zero_column:
+            assert vals[dead] == 0.0 and passes[dead] == 1
 
 
 def _circulant(coeffs):
@@ -178,16 +182,34 @@ def _circulant(coeffs):
 
 
 def test_polish_stops_at_its_fixed_point():
-    # an element of the group algebra of Z4: without the fixed-point stop its
-    # polish runs all 300 passes and ends at this same value
+    # an element of the group algebra of Z4: without the fixed-point stop the
+    # run from its best atom goes on for all 300 passes and ends at this same value
     rng = np.random.default_rng(1)
     a = _circulant(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    vals, xs, _ = _batched_ascent(a, 3.0, np.eye(4))
-    val, x, its, converged = _power_iterate(a, 3.0, xs[:, np.argmax(vals)], 0.0, 300)
-    assert its < 300 and converged
-    assert val == pytest.approx(3.5702323276388266, rel=1e-12)
-    again, _, _, _ = _power_iterate(a, 3.0, x, 0.0, 300)
-    assert again <= val * (1.0 + 1e-14)
+    vals, xs, passes, converged = _power_iterate(a, 3.0, np.eye(4), 0.0, 300)
+    best = int(np.argmax(vals))
+    assert passes[best] < 300 and converged[best]
+    assert vals[best] == pytest.approx(3.5702323276388266, rel=1e-12)
+    again, _, _, _ = _power_iterate(a, 3.0, xs[[best]], 0.0, 300)
+    assert again[0] <= vals[best] * (1.0 + 1e-14)
+    est = pnorm_estimate(a, ctx_for((1.0,) * 4, 3.0))
+    assert est.lower == pytest.approx(3.5702323276388266, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_lower_bound_runs_past_300_passes_on_a_flat_maximum(p):
+    # an element of the group algebra of Z7 whose iteration from every atom
+    # still rises at pass 300; a 300-pass cap on the best start cut that off
+    rng = np.random.default_rng(39)
+    a = _circulant(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    capped, _, _, converged = _power_iterate(a, p, np.eye(7), 0.0, 300)
+    earlier, _, _, _ = _power_iterate(a, p, np.eye(7), 0.0, 299)
+    assert not converged.any() and capped.max() > earlier.max()
+    ctx = ctx_for((1.0,) * 7, p)
+    est = pnorm_estimate(a, ctx)
+    assert est.lower >= capped.max()
+    ray = vector_norm(a @ est.witness, ctx) / vector_norm(est.witness, ctx)
+    assert ray == pytest.approx(est.lower, abs=1e-12)
 
 
 @given(st.integers(0, 2**16), st.integers(2, 6), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
@@ -198,20 +220,21 @@ def test_power_iterate_on_positive_matrices(seed, n, p):
     ctx = ctx_for(rng.uniform(0.5, 2.0, n), p)
     a = _reduce(m, ctx)
     # from ones it is boyd_iterate's run, read in reduced coordinates
-    val, x, _, converged = _power_iterate(a, p, np.ones(n), BOYD_TOL, BOYD_MAX_ITER)
-    assert converged
-    assert val == pytest.approx(boyd_iterate(m, ctx).lower, rel=1e-12)
+    val, x, _, converged = _power_iterate(a, p, np.ones((1, n)), BOYD_TOL, BOYD_MAX_ITER)
+    assert converged[0]
+    assert val[0] == pytest.approx(boyd_iterate(m, ctx).lower, rel=1e-12)
     # from any positive start, with either stop, it keeps at least the start's value
     x0 = rng.uniform(0.01, 1.0, n)
     start = _unweighted_norm(a @ x0, p) / _unweighted_norm(x0, p)
     for tol, max_iter in ((0.0, 300), (BOYD_TOL, BOYD_MAX_ITER)):
-        val, x, _, _ = _power_iterate(a, p, x0, tol, max_iter)
-        assert val >= start
-        assert _unweighted_norm(a @ x, p) / _unweighted_norm(x, p) == pytest.approx(val, rel=1e-12)
+        val, x, _, _ = _power_iterate(a, p, x0[None], tol, max_iter)
+        assert val[0] >= start
+        assert _unweighted_norm(a @ x[0], p) / _unweighted_norm(x[0], p) == pytest.approx(
+            val[0], rel=1e-12)
 
 
 def test_second_majorant_run_starts_at_the_reduced_witness(monkeypatch):
-    # on a weighted space the best ascent point lives in reduced coordinates,
+    # on a weighted space the best point lives in reduced coordinates,
     # witness * w^(1/p); the majorant re-run must start there, not at |witness|
     rng = np.random.default_rng(3)
     n, p = 4, 3.0
@@ -228,12 +251,13 @@ def test_second_majorant_run_starts_at_the_reduced_witness(monkeypatch):
     monkeypatch.setattr(pnorm, "_power_iterate", recording)
     est = pnorm_estimate(m, ctx, starts=3, seed=0)
     start, (value, _, passes, _) = runs[-1]
+    assert start.shape == (1, n)
     reduced = np.abs(est.witness) * weights ** (1.0 / p)
-    assert start / _unweighted_norm(start, p) == pytest.approx(
+    assert start[0] / _unweighted_norm(start[0], p) == pytest.approx(
         reduced / _unweighted_norm(reduced, p), rel=1e-12)
     # m is nonnegative, so that point already is the majorant's fixed point
-    assert passes == 1
-    assert value == pytest.approx(est.lower, rel=1e-12)
+    assert passes[0] == 1
+    assert value[0] == pytest.approx(est.lower, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["zero-column", "rank-one"])
