@@ -25,9 +25,8 @@ from .measure import (BooleanAutomorphism, ChainRuleReport,
                       FiniteMeasureAlgebra, MeasurableFunction, Valuation,
                       integrate, integrate_layer_cake, lp_norm,
                       rn_chain_rules, rn_derivative, rn_level_set)
-from .pnorm import (NormEstimate, boyd_iterate, dual_transpose,
-                    norm_witness_disjoint, pnorm_estimate,
-                    pnorm_genperm_exact, split_norm_ratio)
+from .pnorm import (NormEstimate, dual_transpose, norm_witness_disjoint,
+                    pnorm_estimate, pnorm_genperm_exact, split_norm_ratio)
 from .reconstruction import (DualityReport, IsoVerdict, P2DemoReport,
                              RecoveredGroup, components, decide_isomorphism,
                              dual_antiisomorphism_check,

@@ -25,8 +25,7 @@ from .isometry import (LampertiForm, LpContext, Operator, clarkson_gap,
 from .measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                       MeasurableFunction, Valuation, integrate, rn_chain_rules,
                       rn_derivative)
-from .pnorm import (boyd_iterate, norm_witness_disjoint, pnorm_estimate,
-                    split_norm_ratio)
+from .pnorm import norm_witness_disjoint, pnorm_estimate, split_norm_ratio
 from .reconstruction import (decide_isomorphism, dual_antiisomorphism_check,
                              p2_degeneracy_demo, recover_group)
 
@@ -392,7 +391,7 @@ def grid_search_norm(m: np.ndarray, p: float, resolution: float = 1e-3) -> float
 
 
 def criterion_9(seed: int = 0) -> CriterionResult:
-    """Power iteration versus grid search; the sandwich never inverts."""
+    """Both ends of the norm sandwich versus grid search; it never inverts."""
     rng = _rng(seed, 9)
     algebra = FiniteMeasureAlgebra((1.0, 1.0, 1.0))
     worst_gap = 0.0
@@ -400,11 +399,12 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     for _ in range(100):
         m = rng.uniform(0.0, 1.0, (3, 3))
         p = float(rng.choice([1.5, 2.5, 3.0]))
-        ctx_p = LpContext(algebra, p)
-        iterated = boyd_iterate(m, ctx_p).lower
+        est = pnorm_estimate(m, LpContext(algebra, p), starts=2,
+                             seed=int(rng.integers(2**31)))
         oracle = grid_search_norm(m, p)
-        worst_gap = max(worst_gap, abs(iterated - oracle))
-        est = pnorm_estimate(m, ctx_p, starts=2, seed=int(rng.integers(2**31)))
+        # float(): upper may be a numpy scalar, and the details go to JSON
+        worst_gap = max(worst_gap, float(max(abs(est.lower - oracle),
+                                             abs(est.upper - oracle))))
         if est.lower > est.upper:
             inverted += 1
     passed = worst_gap <= 1e-3 and inverted == 0

@@ -139,6 +139,8 @@ def _cmd_measure(args) -> tuple[object, int]:
 
 def _cmd_isom(args) -> tuple[object, int]:
     if args.action == "decompose":
+        if len(args.files) != 1:
+            raise UsageError("isom decompose takes one operator file")
         op = serialize.operator_from_json(_load(args.files[0]))
         kwargs = {}
         if args.tol is not None:
@@ -175,12 +177,14 @@ def _cmd_norm(args) -> tuple[object, int]:
 
 
 def _cmd_algebra(args) -> tuple[object, int]:
+    if len(args.files) != 1:
+        raise UsageError(f"algebra {args.action} takes one file")
     if args.action == "build":
         g = serialize.group_from_json(_load(args.files[0]))
         basis = convolver_algebra(ConvolutionContext(g, args.p))
         return serialize.algebra_basis_to_json(basis), EXIT_OK
     # action == "unitaries"
-    basis, = _load_enumerable_bases(args.files[:1])
+    basis, = _load_enumerable_bases(args.files)
     units = unitary_group_enumerate(basis, basis.p)
     return {"count": len(units),
             "classes": [serialize.phased_permutation_to_json(u) for u in units]}, EXIT_OK

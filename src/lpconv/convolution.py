@@ -419,8 +419,8 @@ class _PatternSearch:
 
 
 def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
-                            node_budget: int = ENUM_NODE_BUDGET,
-                            tol: float = ENUM_TOL) -> tuple[PhasedPermutation, ...]:
+                            node_budget: int = ENUM_NODE_BUDGET
+                            ) -> tuple[PhasedPermutation, ...]:
     """All invertible-isometry classes inside the span, modulo global phase.
 
     Away from exponent 2 the invertible isometries of an unweighted atom
@@ -443,10 +443,9 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
     if n > ENUM_ATOM_BUDGET:
         raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
 
-    s = basis._s
-    rank = int(np.sum(s > tol * s[0]))
-    b0 = basis._vh[:rank]  # orthonormal rows spanning the same space
-    search = _PatternSearch(b0, n, node_budget, tol)
-    search.descend(np.eye(rank, dtype=complex))
+    # the frame is whole: validation refused a basis whose stack has a
+    # singular value at or below 1e-9 of the largest
+    search = _PatternSearch(basis._vh, n, node_budget, ENUM_TOL)
+    search.descend(np.eye(basis.dimension, dtype=complex))
     identity = tuple(range(n))
     return tuple(sorted(search.found, key=lambda u: (u.perm != identity, u.perm)))

@@ -1,14 +1,17 @@
 """Certified estimation of matrix p -> p operator norms on weighted atom spaces.
 
-Exact p -> p norms of general complex matrices are out of reach, so the
-estimator returns a sandwich: a lower bound certified by an explicit
-witness vector, and an upper bound from a nonlinear power iteration on the
-entrywise-absolute majorant. One signed-power iteration does both: it runs
-every start of the lower bound on the matrix, as the rows of one block, and
-it runs on the majorant. Generalized permutation matrices (at most one
-nonzero per row and column) admit an exact closed form and collapse the
-sandwich. Weighted spaces are reduced to unweighted ones by the diagonal
-similarity xi -> w^(1/p) * xi before iterating.
+Exact p -> p norms of general complex matrices are out of reach, so
+pnorm_estimate, the one entry point, returns a sandwich: a lower bound
+certified by an explicit witness vector, and an upper bound from a nonlinear
+power iteration on the entrywise-absolute majorant. One signed-power
+iteration does both: it runs every start of the lower bound on the matrix,
+as the rows of one block, and it runs on the majorant. On nonnegative input
+the matrix is its own majorant, and Boyd's run from the all-ones vector
+seeds one of the starts, so the lower bound is never below that run.
+Generalized permutation matrices (at most one nonzero per row and column)
+admit an exact closed form and collapse the sandwich. Weighted spaces are
+reduced to unweighted ones by the diagonal similarity xi -> w^(1/p) * xi
+before iterating.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ class NormEstimate:
     The witness attains the lower bound: |A witness|_p / |witness|_p equals
     lower to roundoff. upper majorizes the true norm whenever the power
     iteration on the absolute matrix reached its global fixed point, which
-    holds for entrywise-positive input.
+    holds for entrywise-positive input; no bound proved for every input
+    backs it up yet.
 
-    From pnorm_estimate, iterations counts the power-iteration passes of
-    every start, of the best start's continuation, and of both runs on the
-    majorant.
+    iterations counts the power-iteration passes of every start, of the best
+    start's continuation, and of both runs on the majorant. A generalized
+    permutation takes none: lower and upper are both its exact norm.
     """
 
     lower: float
@@ -48,11 +52,9 @@ class NormEstimate:
     converged: bool
 
 
-def _as_matrix(obj, ctx: LpContext) -> np.ndarray:
+def _as_matrix(obj) -> np.ndarray:
     if isinstance(obj, Operator):
         return obj.matrix
-    if isinstance(obj, LampertiForm):
-        return lamperti_operator(obj, ctx).matrix
     return np.asarray(obj, dtype=complex)
 
 
@@ -68,7 +70,7 @@ def pnorm_genperm_exact(obj, ctx: LpContext) -> float:
     contributing |c| * (w_x / w_y)^(1/p); disjoint supports make the norm
     the largest contribution.
     """
-    m = _as_matrix(obj, ctx)
+    m = _as_matrix(obj)
     n = m.shape[0]
     w = ctx.weight_array
     row_used = [False] * n
@@ -85,12 +87,6 @@ def pnorm_genperm_exact(obj, ctx: LpContext) -> float:
     return best
 
 
-def is_generalized_permutation(obj, ctx: LpContext) -> bool:
-    m = _as_matrix(obj, ctx)
-    nz = m != 0
-    return bool(np.all(nz.sum(axis=0) <= 1) and np.all(nz.sum(axis=1) <= 1))
-
-
 def _reduce(m: np.ndarray, ctx: LpContext) -> np.ndarray:
     # similarity onto the unweighted space; isometric, preserves nonnegativity
     d = ctx.weight_array ** (1.0 / ctx.p)
@@ -100,35 +96,6 @@ def _reduce(m: np.ndarray, ctx: LpContext) -> np.ndarray:
 def _unweighted_norm(v: np.ndarray, p: float):
     """The unweighted p-norm of a vector, or of each row of a block."""
     return np.add.reduce(np.abs(v) ** p, axis=-1) ** (1.0 / p)
-
-
-def boyd_iterate(obj, ctx: LpContext) -> NormEstimate:
-    """Nonlinear power iteration for the p-norm of a nonnegative matrix.
-
-    Runs the signed-power iteration from the all-ones vector; for
-    nonnegative input its quotient is nondecreasing and converges to the
-    norm for entrywise-positive input. The returned upper bound is the
-    interpolation bound between the column-sum and row-sum norms, which is
-    rigorous for any input.
-    """
-    p = ctx.p
-    _require_interior_p(p)
-    m = _as_matrix(obj, ctx)
-    if np.any(m.imag != 0.0) or np.any(m.real < 0.0):
-        raise ValueError("the power iteration needs an entrywise-nonnegative matrix")
-    a = _reduce(m.real, ctx)
-    pd = p / (p - 1.0)
-
-    col_sums = a.sum(axis=0).max(initial=0.0)
-    row_sums = a.sum(axis=1).max(initial=0.0)
-    interp_upper = col_sums ** (1.0 / p) * row_sums ** (1.0 / pd)
-
-    _, x, passes, converged = _power_iterate(a, p, np.ones((1, a.shape[0])),
-                                             BOYD_TOL, BOYD_MAX_ITER)
-    witness = (x[0] / ctx.weight_array ** (1.0 / p)).astype(complex)
-    lower = _rayleigh(m, witness, ctx)
-    upper = max(interp_upper, lower)
-    return NormEstimate(lower, upper, witness, int(passes[0]), bool(converged[0]))
 
 
 def _rayleigh(m: np.ndarray, xi: np.ndarray, ctx: LpContext) -> float:
@@ -247,22 +214,18 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     """
     p = ctx.p
     _require_interior_p(p)
-    m = _as_matrix(obj, ctx)
+    m = _as_matrix(obj)
     n = m.shape[0]
     w = ctx.weight_array
 
-    if is_generalized_permutation(m, ctx):
+    try:
         exact = pnorm_genperm_exact(m, ctx)
-        witness = np.zeros(n, dtype=complex)
-        best_y, best_val = 0, -1.0
-        for y in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[y] = 1.0
-            val = _rayleigh(m, e, ctx)
-            if val > best_val:
-                best_y, best_val = y, val
-        witness[best_y] = 1.0
-        # the best point mass attains the closed form up to last-digit roundoff
+    except ValueError:
+        pass  # not a generalized permutation: sandwich it below
+    else:
+        # the first best point mass attains the closed form up to last-digit roundoff
+        atoms = np.eye(n, dtype=complex)
+        witness = atoms[int(np.argmax([_rayleigh(m, e, ctx) for e in atoms]))].copy()
         return NormEstimate(exact, exact, witness, 0, True)
 
     a = _reduce(m, ctx)
@@ -344,6 +307,6 @@ def dual_transpose(obj, ctx: LpContext) -> np.ndarray:
     Its p' -> p' norm on the same weighted space equals the p -> p norm of
     the input; with counting measure it is the plain transpose.
     """
-    m = _as_matrix(obj, ctx)
+    m = _as_matrix(obj)
     w = ctx.weight_array
     return (m.T * w[None, :]) / w[:, None]

@@ -32,10 +32,11 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     """Group a closed family of phased permutations by their permutation parts.
 
     Elements sharing a permutation part collapse to one component; the
-    component products inherited from representatives must close up into a
-    group table, otherwise the family was not group-like. Returns the
-    component group with the identity permutation as element 0 and one
-    representative per component.
+    component products must close up into a group table, otherwise the
+    family was not group-like. The permutation part of a product is the
+    product of the permutation parts, so the table composes those alone.
+    Returns the component group with the identity permutation as element 0
+    and one representative per component.
     """
     units = list(unitaries)
     if not units:
@@ -51,13 +52,10 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     index = {p: i for i, p in enumerate(perms)}
     table = []
     for a in perms:
-        row = []
-        for b in perms:
-            prod = reps[a].compose(reps[b]).perm
-            if prod not in index:
-                raise NotGroupLike("component classes are not closed under product")
-            row.append(index[prod])
-        table.append(tuple(row))
+        row = tuple(index.get(tuple([a[y] for y in b]), -1) for b in perms)
+        if -1 in row:
+            raise NotGroupLike("component classes are not closed under product")
+        table.append(row)
     try:
         group = FiniteGroup(len(perms), tuple(table), 0)
     except ValueError as exc:

@@ -15,6 +15,8 @@ def test_criterion(criterion):
     result = criterion(SEED)
     print(result.line())
     assert result.passed, result.details
+    # the details go to JSON as they are: plain Python values, no numpy scalars
+    assert all(type(v) in (bool, int, str, list) for v in result.details.values())
 
 
 def test_suite_runner_aggregates():

@@ -124,6 +124,30 @@ def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected
     assert set(data) == {"error", "kind"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["algebra", "build", "GROUP", "MISSING", "--p", "3"],
+    ["algebra", "build", "GROUP", "GROUP"],
+    ["algebra", "unitaries", "ALGEBRA", "ALGEBRA"],
+    ["isom", "decompose", "OPERATOR", "OPERATOR"],
+], ids=["build-missing-extra", "build-two", "unitaries-two", "decompose-two"])
+def test_one_file_commands_refuse_extra_files(capsys, tmp_path, argv):
+    files = {
+        "GROUP": write_json(tmp_path / "z2.json", serialize.group_to_json(make_cyclic(2))),
+        "ALGEBRA": write_json(tmp_path / "alg.json", serialize.algebra_basis_to_json(
+            convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))),
+        "OPERATOR": write_json(tmp_path / "op.json", serialize.operator_to_json(
+            Operator(LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0), np.eye(2)))),
+        "MISSING": str(tmp_path / "nonexistent.json"),
+    }
+    argv = [files.get(a, a) for a in argv]
+    code, data = run(capsys, *argv)
+    assert code == 2
+    assert data["kind"] == "usage" and set(data) == {"error", "kind"}
+    # the same command with its first file alone succeeds
+    code, _ = run(capsys, *argv[:3])
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [["recover", "BIG"], ["decide", "SMALL", "BIG"],
                                   ["algebra", "unitaries", "BIG"]],
                          ids=["recover", "decide", "unitaries"])

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -16,6 +17,9 @@ from lpconv.convolution import (ENUM_NODE_BUDGET, ENUM_TOL, AlgebraBasis,
 from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
 from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product,
                            make_quaternion, make_symmetric, zoo)
+
+# numerical trouble must end in a verdict or an error, not in a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_regular_representations_at_identity():
@@ -214,13 +218,18 @@ def test_closure_routes_agree():
     # the two-generator route may only accept: every verdict and every
     # rejection message of AlgebraBasis is the pairwise check's
     for name, mats, closed, fast in _closure_cases():
-        stacked = np.stack([np.asarray(m, dtype=complex) for m in mats])
-        k, n, _ = stacked.shape
-        u, s, vh = np.linalg.svd(stacked.reshape(k, -1), full_matrices=False)
-        full = _rejection(_check_closure_by_pairs, stacked, vh)
-        assert (full is None) == closed, name
-        assert _rejection(AlgebraBasis, n, 3.0, tuple(mats)) == full, name
-        assert _closed_by_two_generators(stacked, u, s, vh) == fast, name
+        # the 1e200 case overflows on purpose; any other warning is an error
+        expected = (pytest.warns(RuntimeWarning,
+                                 match="(overflow|invalid value) encountered in matmul")
+                    if "1e200" in name else contextlib.nullcontext())
+        with expected:
+            stacked = np.stack([np.asarray(m, dtype=complex) for m in mats])
+            k, n, _ = stacked.shape
+            u, s, vh = np.linalg.svd(stacked.reshape(k, -1), full_matrices=False)
+            full = _rejection(_check_closure_by_pairs, stacked, vh)
+            assert (full is None) == closed, name
+            assert _rejection(AlgebraBasis, n, 3.0, tuple(mats)) == full, name
+            assert _closed_by_two_generators(stacked, u, s, vh) == fast, name
 
 
 def test_enumeration_reuses_the_basis_frame(monkeypatch):

@@ -9,7 +9,7 @@ from lpconv.isometry import (LampertiForm, LpContext, lamperti_operator,
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction)
 from lpconv.pnorm import (BOYD_MAX_ITER, BOYD_TOL, _power_iterate, _reduce, _unweighted_norm,
-                          boyd_iterate, dual_transpose, norm_witness_disjoint, pnorm_estimate,
+                          dual_transpose, norm_witness_disjoint, pnorm_estimate,
                           pnorm_genperm_exact, split_norm_ratio)
 
 # the norm engine must stop a run before it divides by a vanishing value
@@ -51,28 +51,32 @@ def test_genperm_exact_rejects_dense():
 
 def test_boyd_all_ones_examples():
     for p, expected in ((2.0, 2.0), (3.0, 2.0)):
-        est = boyd_iterate(np.ones((2, 2)), ctx_for((1.0, 1.0), p))
+        est = pnorm_estimate(np.ones((2, 2)), ctx_for((1.0, 1.0), p))
         assert est.converged
         assert est.lower == pytest.approx(expected, abs=1e-9)
-        assert est.upper >= est.lower
+        assert est.upper == pytest.approx(expected, abs=1e-9)
 
 
 def test_boyd_diagonal():
-    est = boyd_iterate(np.diag([3.0, 1.0]), ctx_for((1.0, 1.0), 2.5))
+    est = pnorm_estimate(np.diag([3.0, 1.0]), ctx_for((1.0, 1.0), 2.5))
     assert est.lower == pytest.approx(3.0, abs=1e-9)
     assert est.upper == pytest.approx(3.0, abs=1e-9)
-
-
-def test_boyd_rejects_signed_input():
-    with pytest.raises(ValueError):
-        boyd_iterate(np.array([[1.0, -1.0], [0.0, 1.0]]), ctx_for((1.0, 1.0), 3.0))
 
 
 def test_boyd_weighted_isometry_has_norm_one():
     ctx = ctx_for((0.5, 1.7, 2.2), 1.3)
     phi = BooleanAutomorphism(ctx.algebra, (2, 0, 1))
-    est = boyd_iterate(transform_isometry(phi, ctx).matrix.real, ctx)
+    est = pnorm_estimate(transform_isometry(phi, ctx).matrix.real, ctx)
     assert est.lower == pytest.approx(1.0, abs=1e-9)
+    assert est.upper == pytest.approx(1.0, abs=1e-9)
+
+
+def sweep_norm(m, p):
+    """The p-norm of a nonnegative 2 x 2 matrix by a dense 1-parameter sweep
+    of the nonnegative quarter of the unit p-sphere."""
+    t = np.linspace(0.0, 1.0, 20001)
+    xi = np.stack([t, 1.0 - t], axis=1) ** (1.0 / p)
+    return float((((xi @ m.T) ** p).sum(axis=1)).max() ** (1.0 / p))
 
 
 @given(st.integers(0, 2**16), st.sampled_from([1.5, 2.5, 4.0]))
@@ -80,14 +84,24 @@ def test_boyd_weighted_isometry_has_norm_one():
 def test_boyd_matches_coarse_grid(seed, p):
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.1, 1.0, (2, 2))
-    ctx = ctx_for((1.0, 1.0), p)
-    est = boyd_iterate(m, ctx)
-    # dense 1-parameter sweep of the nonnegative quarter of the sphere
-    t = np.linspace(0.0, 1.0, 20001)
-    xi = np.stack([t, 1.0 - t], axis=1) ** (1.0 / p)
-    oracle = (((xi @ m.T) ** p).sum(axis=1)).max() ** (1.0 / p)
-    assert est.lower == pytest.approx(float(oracle), abs=1e-6)
-    assert est.upper >= est.lower - 1e-12
+    est = pnorm_estimate(m, ctx_for((1.0, 1.0), p), seed=seed)
+    oracle = sweep_norm(m, p)
+    assert est.lower == pytest.approx(oracle, abs=1e-6)
+    assert est.upper == pytest.approx(oracle, abs=1e-6)
+
+
+@given(st.integers(0, 2**16), st.integers(1, 6), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
+@settings(max_examples=25)
+def test_estimate_lower_never_below_the_run_from_ones(seed, n, p):
+    # on nonnegative input the run from ones (Boyd's iteration) seeds one of
+    # the starts, so the lower bound keeps at least its value
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+    ctx = ctx_for(rng.uniform(0.5, 2.0, n), p)
+    val, _, _, _ = _power_iterate(_reduce(m, ctx), p, np.ones((1, n)), BOYD_TOL,
+                                  BOYD_MAX_ITER)
+    est = pnorm_estimate(m, ctx, starts=2, seed=seed)
+    assert est.lower >= val[0] * (1.0 - 1e-12)
 
 
 def test_estimate_collapses_on_generalized_permutations():
@@ -219,10 +233,15 @@ def test_power_iterate_on_positive_matrices(seed, n, p):
     m = rng.uniform(0.05, 1.0, (n, n))
     ctx = ctx_for(rng.uniform(0.5, 2.0, n), p)
     a = _reduce(m, ctx)
-    # from ones it is boyd_iterate's run, read in reduced coordinates
+    # from ones it is Boyd's iteration, which reaches the norm on positive input
     val, x, _, converged = _power_iterate(a, p, np.ones((1, n)), BOYD_TOL, BOYD_MAX_ITER)
     assert converged[0]
-    assert val[0] == pytest.approx(boyd_iterate(m, ctx).lower, rel=1e-12)
+    if n == 2:
+        assert val[0] == pytest.approx(sweep_norm(a, p), abs=1e-6)
+    # at any positive x the Schur test max_j (a^T (a x)^(p-1))_j / x_j^(p-1)
+    # bounds the p-th power of the norm from above
+    schur = np.max(a.T @ (a @ x[0]) ** (p - 1.0) / x[0] ** (p - 1.0)) ** (1.0 / p)
+    assert val[0] <= schur * (1.0 + 1e-12) and schur <= val[0] * (1.0 + 1e-5)
     # from any positive start, with either stop, it keeps at least the start's value
     x0 = rng.uniform(0.01, 1.0, n)
     start = _unweighted_norm(a @ x0, p) / _unweighted_norm(x0, p)

@@ -18,6 +18,9 @@ from lpconv.reconstruction import (components, decide_isomorphism,
                                    left_translation_match, p2_degeneracy_demo,
                                    recover_group)
 
+# numerical trouble must end in a verdict or an error, not in a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def klein():
     return make_direct_product(make_cyclic(2), make_cyclic(2))
@@ -61,6 +64,81 @@ def test_components_require_scalar_class():
     cycle = PhasedPermutation((1, 2, 0), (1.0, 1.0, 1.0))
     with pytest.raises(NotGroupLike):
         components([cycle])
+
+
+def _components_by_phased_products(units):
+    """components as it was before it composed permutation parts alone: the
+    table reads the permutation part of full PhasedPermutation products."""
+    units = list(units)
+    if not units:
+        raise NotGroupLike("no isometry classes to quotient")
+    identity = tuple(range(len(units[0].perm)))
+    reps = {}
+    for u in units:
+        reps.setdefault(u.perm, u)
+    if identity not in reps:
+        raise NotGroupLike("no scalar class present")
+    perms = [identity] + sorted(p for p in reps if p != identity)
+    index = {p: i for i, p in enumerate(perms)}
+    table = []
+    for a in perms:
+        row = []
+        for b in perms:
+            prod = reps[a].compose(reps[b]).perm
+            if prod not in index:
+                raise NotGroupLike("component classes are not closed under product")
+            row.append(index[prod])
+        table.append(tuple(row))
+    return FiniteGroup(len(perms), tuple(table), 0), tuple(reps[p] for p in perms)
+
+
+def hidden_presentation(g, seed):
+    """The left translations of g, atoms relabelled by a random permutation
+    and the basis mixed by a random orthogonal matrix."""
+    rng = np.random.default_rng(seed)
+    n = g.order
+    sigma = rng.permutation(n)
+    lam = np.zeros((n, n, n))
+    for s in range(n):
+        for y in range(n):
+            lam[s, sigma[g.mul(s, y)], sigma[y]] = 1.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return AlgebraBasis(n, 3.0, tuple(np.einsum("ij,jkl->ikl", q, lam)))
+
+
+def full_matrix_algebra(n):
+    """M_n: its isometry classes are phase tori over every permutation."""
+    matrix_units = np.eye(n * n).reshape(n * n, n, n)
+    return AlgebraBasis(n, 3.0, tuple(matrix_units))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hidden_presentation(make_symmetric(4), 24),
+    lambda: hidden_presentation(make_direct_product(make_quaternion(), make_cyclic(4)), 32),
+    lambda: hidden_presentation(make_direct_product(make_quaternion(), make_cyclic(8)), 64),
+    lambda: full_matrix_algebra(3),
+], ids=["S4", "Q8xZ4", "Q8xZ8", "M3"])
+def test_components_match_the_phased_product_route(make):
+    units = unitary_group_enumerate(make(), 3.0)
+    group, reps = components(units)
+    reference, reference_reps = _components_by_phased_products(units)
+    assert group.order == len(units)
+    assert (group.table, group.identity) == (reference.table, reference.identity)
+    assert reps == reference_reps
+
+
+@pytest.mark.parametrize("units", [
+    [],
+    [PhasedPermutation((1, 2, 0), (1.0, 1.0, 1.0))],
+    [PhasedPermutation((0, 1, 2), (1.0, 1.0, 1.0)),
+     PhasedPermutation((1, 2, 0), (1.0, 1.0, 1.0))],
+], ids=["empty", "no-scalar-class", "unclosed"])
+def test_components_refuse_as_the_phased_product_route(units):
+    with pytest.raises(NotGroupLike) as refused:
+        components(units)
+    with pytest.raises(NotGroupLike) as reference:
+        _components_by_phased_products(units)
+    assert str(refused.value) == str(reference.value)
 
 
 def test_left_translation_match_identity():
@@ -151,14 +229,7 @@ def test_recovery_leaves_no_cyclic_garbage():
 
 
 def test_recover_full_matrix_algebra_gives_symmetric_group():
-    elementary = []
-    for i in range(3):
-        for j in range(3):
-            m = np.zeros((3, 3))
-            m[i, j] = 1.0
-            elementary.append(m)
-    basis = AlgebraBasis(3, 3.0, tuple(elementary))
-    rec = recover_group(basis, 3.0)
+    rec = recover_group(full_matrix_algebra(3), 3.0)
     assert is_isomorphic(rec.group, make_symmetric(3)) is not None
 
 
