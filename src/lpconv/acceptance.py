@@ -402,9 +402,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
         est = pnorm_estimate(m, LpContext(algebra, p), starts=2,
                              seed=int(rng.integers(2**31)))
         oracle = grid_search_norm(m, p)
-        # float(): upper may be a numpy scalar, and the details go to JSON
-        worst_gap = max(worst_gap, float(max(abs(est.lower - oracle),
-                                             abs(est.upper - oracle))))
+        worst_gap = max(worst_gap, abs(est.lower - oracle), abs(est.upper - oracle))
         if est.lower > est.upper:
             inverted += 1
     passed = worst_gap <= 1e-3 and inverted == 0

@@ -39,13 +39,6 @@ class LpContext:
             raise POutOfRange("context exponent must be a finite real >= 1")
 
     @property
-    def dual(self) -> float:
-        """The conjugate exponent p / (p - 1)."""
-        if self.p == 1.0:
-            return math.inf
-        return self.p / (self.p - 1.0)
-
-    @property
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.algebra.weights, dtype=float)
 

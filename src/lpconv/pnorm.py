@@ -84,7 +84,7 @@ def pnorm_genperm_exact(obj, ctx: LpContext) -> float:
                 raise ValueError(f"row {x} has more than one nonzero entry")
             row_used[x] = True
             best = max(best, abs(m[x, y]) * (w[x] / w[y]) ** (1.0 / ctx.p))
-    return best
+    return float(best)
 
 
 def _reduce(m: np.ndarray, ctx: LpContext) -> np.ndarray:
@@ -264,7 +264,7 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     iterations += int(passes[0])
     # the majorant dominates every Rayleigh quotient of m; max() only
     # absorbs last-digit roundoff
-    upper = max(first[0], second[0], lower)
+    upper = float(max(first[0], second[0], lower))
     converged = bool(first_converged[0] and second_converged[0])
     return NormEstimate(lower, upper, witness, iterations, converged)
 

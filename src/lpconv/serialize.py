@@ -3,9 +3,10 @@
 Complex numbers are [re, im] pairs, permutations are index arrays, and all
 numbers are finite doubles. Decoders exist for the payloads the CLI reads:
 groups, measure weights, operators and algebra bases. Each accepts what the
-matching encoder emits; a matrix that is not rectangular, a non-finite
-matrix entry, weight or exponent, or an order, n, identity or table entry
-that is not an integer, raises SchemaError.
+matching encoder emits; a matrix that is not rectangular, a matrix entry,
+weight or exponent that is not a finite double (NaN, infinity, an integer
+too large to convert), or an order, n, identity or table entry that is not
+an integer, raises SchemaError.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def iso_to_json(iso: GroupIso | None) -> Any:
 def _finite(value, what: str) -> float:
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc
     if not math.isfinite(x):
         raise SchemaError(f"bad {what}: {x} is not finite")
@@ -105,7 +106,7 @@ def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def _matrix_from_json(rows) -> np.ndarray:
     try:
         m = np.array([[_from_pair(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad matrix payload: {exc}") from exc
     if m.ndim != 2:
         raise SchemaError("bad matrix payload: rows must be equal-length lists")

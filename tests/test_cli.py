@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpconv import serialize
-from lpconv.cli import main
+from lpconv.cli import build_parser, main
 from lpconv.convolution import ConvolutionContext, convolver_algebra
 from lpconv.groups import make_cyclic, make_direct_product, make_symmetric
 from lpconv.isometry import LpContext, Operator
@@ -109,19 +110,39 @@ _VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0
     (["norm", "FILE", "--starts", "abc"], _VALID_OPERATOR, 2),
     (["demo", "p3"], None, 2),
     (["recover"], None, 2),
+    (["norm", "FILE"], _operator_payload(_VALID_OPERATOR["matrix"], p=10**400), 3),
+    (["measure", "rnd", "FILE", "FILE"], {"weights": [10**400, 1.0]}, 3),
+    (["norm", "FILE"], _operator_payload([[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+     3),
+    # json.load refuses an integer literal over 4,300 digits with a plain ValueError
+    (["norm", "FILE"], "[" + "9" * 4301 + "]", 3),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
         "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
         "weights-nan", "p-nan", "n-not-a-number", "order-not-a-number", "n-infinite",
         "order-infinite", "starts-negative", "starts-over-budget", "unknown-command",
-        "starts-not-a-number", "bad-choice", "missing-positional"])
+        "starts-not-a-number", "bad-choice", "missing-positional", "p-huge-integer",
+        "weight-huge-integer", "entry-huge-integer", "integer-over-4300-digits"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
+    # a str payload is written as it stands: json.dumps cannot write every input
     if payload is not None:
-        path = write_json(tmp_path / "input.json", payload)
-        argv = [path if a == "FILE" else a for a in argv]
+        path = tmp_path / "input.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = [str(path) if a == "FILE" else a for a in argv]
     code, data = run(capsys, *argv)
     assert code == expected
     assert set(data) == {"error", "kind"}
+
+
+def _payload_files(tmp_path):
+    return {
+        "GROUP": write_json(tmp_path / "z2.json", serialize.group_to_json(make_cyclic(2))),
+        "ALGEBRA": write_json(tmp_path / "alg.json", serialize.algebra_basis_to_json(
+            convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))),
+        "OPERATOR": write_json(tmp_path / "op.json", serialize.operator_to_json(
+            Operator(LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0), np.eye(2)))),
+        "WEIGHTS": write_json(tmp_path / "w.json", {"weights": [1.0, 2.0]}),
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,14 +152,7 @@ def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected
     ["isom", "decompose", "OPERATOR", "OPERATOR"],
 ], ids=["build-missing-extra", "build-two", "unitaries-two", "decompose-two"])
 def test_one_file_commands_refuse_extra_files(capsys, tmp_path, argv):
-    files = {
-        "GROUP": write_json(tmp_path / "z2.json", serialize.group_to_json(make_cyclic(2))),
-        "ALGEBRA": write_json(tmp_path / "alg.json", serialize.algebra_basis_to_json(
-            convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))),
-        "OPERATOR": write_json(tmp_path / "op.json", serialize.operator_to_json(
-            Operator(LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0), np.eye(2)))),
-        "MISSING": str(tmp_path / "nonexistent.json"),
-    }
+    files = dict(_payload_files(tmp_path), MISSING=str(tmp_path / "nonexistent.json"))
     argv = [files.get(a, a) for a in argv]
     code, data = run(capsys, *argv)
     assert code == 2
@@ -146,6 +160,72 @@ def test_one_file_commands_refuse_extra_files(capsys, tmp_path, argv):
     # the same command with its first file alone succeeds
     code, _ = run(capsys, *argv[:3])
     assert code == 0
+
+
+# a valid invocation of every leaf command; FILE-like words name payloads
+_LEAVES = {
+    ("group", "make", "cyclic"): ["3"],
+    ("group", "make", "dihedral"): ["3"],
+    ("group", "make", "symmetric"): ["3"],
+    ("group", "make", "quaternion"): [],
+    ("group", "make", "product"): ["GROUP", "GROUP"],
+    ("group", "iso"): ["GROUP", "GROUP"],
+    ("measure", "rnd"): ["WEIGHTS", "WEIGHTS"],
+    ("measure", "check-rn"): ["WEIGHTS", "WEIGHTS", "WEIGHTS", "--perm", "1,0"],
+    ("isom", "decompose"): ["OPERATOR", "--tol", "1e-6"],
+    ("isom", "distance"): ["OPERATOR", "OPERATOR", "--seed", "1"],
+    ("norm",): ["OPERATOR", "--p", "3", "--starts", "2", "--seed", "1"],
+    ("algebra", "build"): ["GROUP", "--p", "3"],
+    ("algebra", "unitaries"): ["ALGEBRA"],
+    ("recover",): ["ALGEBRA"],
+    ("decide",): ["ALGEBRA", "ALGEBRA"],
+    ("demo", "p2"): ["--seed", "1"],
+    ("suite", "run"): ["--seed", "1", "--criteria", "5"],
+}
+
+
+def _leaf_commands(parser, prefix=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from _leaf_commands(sub, prefix + (name,))
+
+
+def test_leaf_table_covers_every_command():
+    assert set(_leaf_commands(build_parser())) == set(_LEAVES)
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAVES), ids=" ".join)
+def test_every_command_refuses_an_extra_argument_and_an_unknown_flag(capsys, tmp_path, leaf):
+    files = _payload_files(tmp_path)
+    argv = [*leaf, *(files.get(a, a) for a in _LEAVES[leaf])]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    for extra in (["extra.json"], ["--no-such-flag"], ["--no-such-flag", "1"]):
+        code, data = run(capsys, *argv, *extra)
+        assert code == 2
+        assert data["kind"] == "usage" and set(data) == {"error", "kind"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["isom", "distance", "OPERATOR", "OPERATOR", "--tol", "1e-3"],
+    ["algebra", "unitaries", "ALGEBRA", "--p", "2"],
+    ["measure", "rnd", "WEIGHTS", "WEIGHTS", "--perm", "9,9,9"],
+    ["group", "make", "quaternion", "5"],
+    ["isom", "decompose", "OPERATOR", "--seed", "3"],
+    ["suite", "--seed", "7", "run"],
+    ["measure", "check-rn", "WEIGHTS", "WEIGHTS", "WEIGHTS", "--perm", ""],
+    ["suite", "run", "--criteria", ""],
+], ids=["distance-tol", "unitaries-p", "rnd-perm", "quaternion-order", "decompose-seed",
+        "flag-before-action", "empty-perm", "empty-criteria"])
+def test_inputs_a_command_does_not_take_are_usage_errors(capsys, tmp_path, argv):
+    # a flag or parameter that only a sibling command reads is refused, not ignored
+    files = _payload_files(tmp_path)
+    code, data = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert data["kind"] == "usage" and set(data) == {"error", "kind"}
 
 
 @pytest.mark.parametrize("argv", [["recover", "BIG"], ["decide", "SMALL", "BIG"],
@@ -188,7 +268,8 @@ def test_group_payload_budget_is_checked_before_validation(capsys, tmp_path, mon
 
 
 _NUMBER = st.one_of(st.integers(-2, 6), st.floats(),
-                    st.sampled_from([10**9, 10**40, float("nan"), float("inf"), "abc", None]))
+                    st.sampled_from([10**9, 10**40, 10**400, float("nan"), float("inf"), "abc",
+                                     None]))
 _ANY = st.recursive(_NUMBER, lambda inner: st.one_of(
     st.lists(inner, max_size=3),
     st.dictionaries(st.sampled_from(["n", "p", "order", "table", "weights"]), inner, max_size=3)),

@@ -405,6 +405,35 @@ def test_enumerate_refuses_intermediate_phase_families():
         unitary_group_enumerate(basis, 3.0)
 
 
+def _unit(n, x, y):
+    m = np.zeros((n, n))
+    m[x, y] = 1.0
+    return m
+
+
+def test_enumerate_diagonal_algebra_keeps_the_identity_torus():
+    # every candidate off the diagonal has a slice with a zero in its cell
+    basis = AlgebraBasis(3, 3.0, tuple(_unit(3, i, i) for i in range(3)))
+    units = unitary_group_enumerate(basis, 3.0)
+    assert [(u.perm, u.phase_dim) for u in units] == [((0, 1, 2), 2)]
+
+
+def test_enumerate_refuses_an_invertible_non_isometry():
+    # J^2 = I, so J is invertible, but its moduli 2 and 1/2 differ: only the
+    # scalar class survives
+    j = np.array([[0.0, 2.0], [0.5, 0.0]])
+    units = unitary_group_enumerate(AlgebraBasis(2, 3.0, (np.eye(2), j)), 3.0)
+    assert [(u.perm, u.phase_dim) for u in units] == [((0, 1), 0)]
+
+
+def test_enumerate_prunes_a_nilpotent_direction():
+    # span{I, E10}: at column 0 the candidate row 2 leaves no slice, and the
+    # slice of row 1 is E10 alone, which column 1 cannot continue
+    basis = AlgebraBasis(3, 3.0, (np.eye(3), _unit(3, 1, 0)))
+    units = unitary_group_enumerate(basis, 3.0)
+    assert [(u.perm, u.phase_dim) for u in units] == [((0, 1, 2), 0)]
+
+
 def test_contexts_reject_extreme_exponents():
     with pytest.raises(POutOfRange):
         ConvolutionContext(make_cyclic(2), 1.0)

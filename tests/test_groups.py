@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -170,6 +171,33 @@ def test_isomorphism_is_an_equivalence_on_the_zoo():
                 if w is not None and witnesses[j, k] is not None:
                     composed = witnesses[j, k].compose(w)
                     assert composed.source == a and composed.target == c
+
+
+def relabel(g, names):
+    """The same group with element x renamed names[x]."""
+    old = sorted(range(g.order), key=lambda x: names[x])
+    table = tuple(tuple(names[g.mul(old[a], old[b])] for b in range(g.order))
+                  for a in range(g.order))
+    return FiniteGroup(g.order, table, names[g.identity])
+
+
+def test_equal_order_profiles_without_an_isomorphism():
+    # both have 3 involutions and 12 elements of order 4, so the profile
+    # passes them on and only the backtracking search can refuse
+    z4xz4 = make_direct_product(make_cyclic(4), make_cyclic(4))
+    q8xz2 = make_direct_product(make_quaternion(), make_cyclic(2))
+    assert z4xz4.order_profile() == q8xz2.order_profile()
+    assert is_isomorphic(z4xz4, q8xz2) is None
+    assert is_isomorphic(q8xz2, z4xz4) is None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relabeled_group_is_isomorphic(seed):
+    g = make_direct_product(make_dihedral(4), make_cyclic(2))
+    h = relabel(g, random.Random(seed).sample(range(g.order), g.order))
+    witness = is_isomorphic(g, h)
+    assert witness is not None
+    GroupIso(g, h, witness.mapping)  # validates the map
 
 
 def test_witness_validation_rejects_non_homomorphism():

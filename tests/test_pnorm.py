@@ -115,6 +115,17 @@ def test_estimate_collapses_on_generalized_permutations():
     assert ray == pytest.approx(est.lower, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [
+    np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]]),
+    np.ones((3, 3)),
+    np.array([[0.0, 2j, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+], ids=["dense", "nonnegative", "generalized-permutation"])
+def test_estimate_bounds_are_python_floats(m):
+    # callers compare the bounds and put them in JSON: no numpy scalars
+    est = pnorm_estimate(m, ctx_for((1.0, 2.0, 0.5), 3.0))
+    assert type(est.lower) is float and type(est.upper) is float
+
+
 def test_estimate_translation_difference_attains_two():
     # difference of two translations whose quotient has even order: the
     # alternating-sign witness realizes the norm 2 and the majorant matches
