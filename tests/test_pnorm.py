@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpconv import pnorm
@@ -73,10 +73,18 @@ def test_boyd_weighted_isometry_has_norm_one():
 
 def sweep_norm(m, p):
     """The p-norm of a nonnegative 2 x 2 matrix by a dense 1-parameter sweep
-    of the nonnegative quarter of the unit p-sphere."""
-    t = np.linspace(0.0, 1.0, 20001)
-    xi = np.stack([t, 1.0 - t], axis=1) ** (1.0 / p)
-    return float((((xi @ m.T) ** p).sum(axis=1)).max() ** (1.0 / p))
+    of the nonnegative quarter of the unit p-sphere, zoomed in three times on
+    the best grid point: for p near 1 the maximum can sit within one step of
+    an end, where a single sweep misses it by more than 1e-6."""
+    lo, hi = 0.0, 1.0
+    for _ in range(3):
+        t = np.linspace(lo, hi, 20001)
+        xi = np.stack([t, 1.0 - t], axis=1) ** (1.0 / p)
+        vals = ((xi @ m.T) ** p).sum(axis=1)
+        k = int(np.argmax(vals))
+        step = (hi - lo) / 20000
+        lo, hi = max(0.0, t[k] - step), min(1.0, t[k] + step)
+    return float(vals[k] ** (1.0 / p))
 
 
 @given(st.integers(0, 2**16), st.sampled_from([1.5, 2.5, 4.0]))
@@ -239,6 +247,7 @@ def test_lower_bound_runs_past_300_passes_on_a_flat_maximum(p):
 
 @given(st.integers(0, 2**16), st.integers(2, 6), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
 @settings(max_examples=25)
+@example(seed=193, n=2, p=1.2)  # the maximum sits at t = 0.99998
 def test_power_iterate_on_positive_matrices(seed, n, p):
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.05, 1.0, (n, n))
