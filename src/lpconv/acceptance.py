@@ -39,10 +39,6 @@ class CriterionResult:
     passed: bool
     details: dict[str, Any]
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.index} [{status}] {self.name}"
-
 
 def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])

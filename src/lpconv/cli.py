@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 domain error (invalid isometry, ungrouplike
 algebra, mismatched contexts, failed suite, a result that overflows to a
-non-finite number), 2 usage error, 3 malformed input JSON, 4 enumeration
-budget exceeded.
+non-finite number), 2 usage error, 3 malformed input JSON or an input path
+that cannot be read (missing, a directory, no permission), 4 enumeration
+budget exceeded. Errors are JSON too, written where the result would go;
+an --out path that cannot be written sends its error to stdout with exit 2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .convolution import (ENUM_ATOM_BUDGET, AlgebraBasis, ConvolutionContext,
 from .errors import BudgetError, LpconvError
 from .groups import (is_isomorphic, make_cyclic, make_dihedral,
                      make_direct_product, make_quaternion, make_symmetric)
-from .isometry import LpContext, lamperti_decompose, lamperti_distance
+from .isometry import DECOMPOSE_TOL, LpContext, lamperti_decompose, lamperti_distance
 from .measure import (BooleanAutomorphism, Valuation, rn_chain_rules,
                       rn_derivative)
 from .pnorm import pnorm_estimate
@@ -125,9 +127,7 @@ def _cmd_measure_check_rn(args) -> tuple[object, int]:
 
 
 def _cmd_isom_decompose(args) -> tuple[object, int]:
-    op = serialize.operator_from_json(_load(args.file))
-    kwargs = {} if args.tol is None else {"support_tol": args.tol, "isometry_tol": args.tol}
-    form = lamperti_decompose(op, **kwargs)
+    form = lamperti_decompose(serialize.operator_from_json(_load(args.file)), tol=args.tol)
     return {"phases": serialize.function_to_json(form.f),
             "perm": list(form.phi.perm)}, EXIT_OK
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     isom = actions("isom", "factor isometries and measure distances")
     leaf(isom, "decompose", _cmd_isom_decompose, "file",
-         tol={"type": float, "help": "validation tolerance override"})
+         tol={"type": float, "default": DECOMPOSE_TOL, "help": "validation tolerance override"})
     leaf(isom, "distance", _cmd_isom_distance, "a", "b", seed=seed)
 
     leaf(commands, "norm", _cmd_norm, "file", help="certified operator norm sandwich",
@@ -244,13 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:
@@ -262,25 +257,31 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code else EXIT_OK
     except UsageError as exc:
-        _emit({"error": str(exc), "kind": "usage"}, out)
-        return EXIT_USAGE
+        payload, code = {"error": str(exc), "kind": "usage"}, EXIT_USAGE
     except BudgetError as exc:
-        _emit({"error": str(exc), "kind": "budget"}, out)
-        return EXIT_BUDGET
+        payload, code = {"error": str(exc), "kind": "budget"}, EXIT_BUDGET
     except SchemaError as exc:
-        _emit({"error": str(exc), "kind": "malformed-input"}, out)
-        return EXIT_BAD_JSON
+        payload, code = {"error": str(exc), "kind": "malformed-input"}, EXIT_BAD_JSON
     except FileNotFoundError as exc:
-        _emit({"error": str(exc), "kind": "missing-file"}, out)
-        return EXIT_BAD_JSON
+        payload, code = {"error": str(exc), "kind": "missing-file"}, EXIT_BAD_JSON
+    except OSError as exc:  # an input path is a directory or unreadable; handlers write nothing
+        payload, code = {"error": str(exc), "kind": "unreadable-file"}, EXIT_BAD_JSON
     except (LpconvError, ValueError, KeyError, IndexError) as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__}, out)
-        return EXIT_DOMAIN
+        payload, code = {"error": str(exc), "kind": type(exc).__name__}, EXIT_DOMAIN
     try:
-        _emit(payload, out)
+        text = _dumps(payload)
     except ValueError:  # NaN and infinity have no JSON form
-        _emit({"error": "the result holds a non-finite number", "kind": "non-finite-result"}, out)
-        return EXIT_DOMAIN
+        text = _dumps({"error": "the result holds a non-finite number",
+                       "kind": "non-finite-result"})
+        code = EXIT_DOMAIN
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:  # the error goes to stdout instead
+            text, code = _dumps({"error": str(exc), "kind": "unwritable-out"}), EXIT_USAGE
+    sys.stdout.write(text)
     return code
 
 

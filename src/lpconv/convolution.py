@@ -57,18 +57,6 @@ def left_regular(ctx: ConvolutionContext, s: int) -> Operator:
     return Operator(ctx.lp_context(), m)
 
 
-def right_regular(ctx: ConvolutionContext, s: int) -> Operator:
-    """Right translation: (R_s xi)(x) = xi(x s), a permutation matrix."""
-    g = ctx.group
-    n = g.order
-    if not 0 <= s < n:
-        raise ValueError("element index out of range")
-    m = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        m[x, g.mul(x, s)] = 1.0
-    return Operator(ctx.lp_context(), m)
-
-
 @dataclass(frozen=True)
 class AlgebraBasis:
     """Linearly independent matrices whose span is unital and closed under products.
@@ -113,7 +101,7 @@ class AlgebraBasis:
     def dimension(self) -> int:
         return len(self.elements)
 
-    def coordinates(self, x, tol: float = 1e-9) -> np.ndarray | None:
+    def coordinates(self, x) -> np.ndarray | None:
         """Coordinates of x on the basis, or None if x is outside the span.
 
         x is projected onto the orthonormal frame; the coordinates are read
@@ -122,7 +110,7 @@ class AlgebraBasis:
         target = np.asarray(x, dtype=complex).reshape(-1)
         on_frame = (self._vh @ target.conj()).conj()
         resid = float(np.max(np.abs(self._vh.T @ on_frame - target)))
-        if resid >= tol * max(1.0, float(np.max(np.abs(target)))):
+        if resid >= 1e-9 * max(1.0, float(np.max(np.abs(target)))):
             return None
         return self._u.conj() @ (on_frame / self._s)
 
@@ -189,19 +177,6 @@ def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
         newest = rows[sv > gap]
         found = np.concatenate([found, newest])
     return len(found) == k
-
-
-def algebra_membership(basis: AlgebraBasis, x, tol: float = 1e-9) -> np.ndarray | None:
-    """Coordinates of a matrix (or Operator) in the span, or None."""
-    if isinstance(x, Operator):
-        x = x.matrix
-    return basis.coordinates(x, tol=tol)
-
-
-def pseudofunction_algebra(ctx: ConvolutionContext) -> AlgebraBasis:
-    """The span of the left translations; dimension equals the group order."""
-    mats = tuple(left_regular(ctx, s).matrix for s in range(ctx.group.order))
-    return AlgebraBasis(ctx.group.order, ctx.p, mats)
 
 
 def convolver_basis_exact(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -280,36 +255,6 @@ class PhasedPermutation:
             raise ValueError("perm must be a permutation with one phase per column")
         object.__setattr__(self, "phases", tuple(complex(z) for z in self.phases))
 
-    def compose(self, other: PhasedPermutation) -> PhasedPermutation:
-        """Matrix product self @ other, as a class representative."""
-        perm = tuple(self.perm[y] for y in other.perm)
-        phases = tuple(self.phases[other.perm[y]] * other.phases[y]
-                       for y in range(len(self.perm)))
-        return PhasedPermutation(perm, phases,
-                                 max(self.phase_dim, other.phase_dim))
-
-    def inverse(self) -> PhasedPermutation:
-        n = len(self.perm)
-        inv = [0] * n
-        for y, x in enumerate(self.perm):
-            inv[x] = y
-        phases = tuple(1.0 / self.phases[inv[y]] for y in range(n))
-        return PhasedPermutation(tuple(inv), phases, self.phase_dim)
-
-    def same_class(self, other: PhasedPermutation, tol: float = ENUM_TOL) -> bool:
-        """Equal permutation parts and phases matching up to a global scalar."""
-        if self.perm != other.perm:
-            return False
-        ratios = [a / b for a, b in zip(self.phases, other.phases)]
-        return max(abs(r - ratios[0]) for r in ratios) <= tol
-
-    def as_matrix(self) -> np.ndarray:
-        n = len(self.perm)
-        m = np.zeros((n, n), dtype=complex)
-        for y in range(n):
-            m[self.perm[y], y] = self.phases[y]
-        return m
-
 
 def _left_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal rows c with c @ a = 0."""
@@ -327,11 +272,11 @@ class _PatternSearch:
     leaves no reference cycle behind for the garbage collector.
     """
 
-    def __init__(self, b0: np.ndarray, n: int, node_budget: int, tol: float):
+    def __init__(self, b0: np.ndarray, n: int):
         self.b0 = b0
         self.n = n
-        self.node_budget = node_budget
-        self.tol = tol
+        self.node_budget = ENUM_NODE_BUDGET
+        self.tol = ENUM_TOL
         self.used = [False] * n
         self.pattern: list[int] = []
         self.found: list[PhasedPermutation] = []
@@ -418,9 +363,7 @@ class _PatternSearch:
                 "strictly between a scalar line and the full torus")
 
 
-def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
-                            node_budget: int = ENUM_NODE_BUDGET
-                            ) -> tuple[PhasedPermutation, ...]:
+def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermutation, ...]:
     """All invertible-isometry classes inside the span, modulo global phase.
 
     Away from exponent 2 the invertible isometries of an unweighted atom
@@ -445,7 +388,7 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float, *,
 
     # the frame is whole: validation refused a basis whose stack has a
     # singular value at or below 1e-9 of the largest
-    search = _PatternSearch(basis._vh, n, node_budget, ENUM_TOL)
+    search = _PatternSearch(basis._vh, n)
     search.descend(np.eye(basis.dimension, dtype=complex))
     identity = tuple(range(n))
     return tuple(sorted(search.found, key=lambda u: (u.perm != identity, u.perm)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError
 
-DEFAULT_ISO_BUDGET = 64
+ISO_BUDGET = 64
 SYMMETRIC_BUDGET = 5
 TABLE_BUDGET = 128
 
@@ -74,11 +74,6 @@ class FiniteGroup:
     def order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
-
 
 @dataclass(frozen=True)
 class GroupIso:
@@ -98,19 +93,6 @@ class GroupIso:
             for b in range(g.order):
                 if m[g.mul(a, b)] != h.mul(m[a], m[b]):
                     raise ValueError(f"mapping is not multiplicative at ({a}, {b})")
-
-    def inverse(self) -> GroupIso:
-        inv = [0] * len(self.mapping)
-        for x, y in enumerate(self.mapping):
-            inv[y] = x
-        return GroupIso(self.target, self.source, tuple(inv))
-
-    def compose(self, other: GroupIso) -> GroupIso:
-        """self after other: maps other.source into self.target."""
-        if other.target != self.source:
-            raise ValueError("composition needs a matching middle group")
-        return GroupIso(other.source, self.target,
-                        tuple(self.mapping[y] for y in other.mapping))
 
 
 def _freeze(table) -> tuple[tuple[int, ...], ...]:
@@ -245,8 +227,7 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
-                  budget: int = DEFAULT_ISO_BUDGET) -> GroupIso | None:
+def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> GroupIso | None:
     """Exact isomorphism search; returns a witness or None.
 
     Prunes by order and element-order profile, then backtracks over images
@@ -254,8 +235,8 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     products as it grows, so a completed assignment is already verified to
     be multiplicative on all pairs.
     """
-    if g.order > budget or h.order > budget:
-        raise BudgetError(f"isomorphism search capped at order {budget}")
+    if g.order > ISO_BUDGET or h.order > ISO_BUDGET:
+        raise BudgetError(f"isomorphism search capped at order {ISO_BUDGET}")
     if g.order != h.order:
         return None
     if g.order_profile() != h.order_profile():

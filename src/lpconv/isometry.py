@@ -2,12 +2,12 @@
 
 Away from exponent 2 every surjective isometry is a unimodular
 multiplication composed with a weight-transported atom permutation. This
-module builds the two generators, checks their interplay, and factors a
-validated isometry back into that normal form. The distance between two
-factored isometries has the closed form max(sup distance of the phase
-functions, 2 if the permutations differ); note that 2 is attained by the
-entrywise-absolute majorant, while the complex operator norm can sit
-strictly below it when the relative phases are generic.
+module builds the two generators and factors a validated isometry back
+into that normal form. The distance between two factored isometries has
+the closed form max(sup distance of the phase functions, 2 if the
+permutations differ); note that 2 is attained by the entrywise-absolute
+majorant, while the complex operator norm can sit strictly below it when
+the relative phases are generic.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 from .errors import AlgebraMismatch, NotIsometry, P2Unsupported, POutOfRange
 from .measure import BooleanAutomorphism, FiniteMeasureAlgebra, MeasurableFunction
 
-SUPPORT_TOL = 1e-9
-ISOMETRY_TOL = 1e-9
+DECOMPOSE_TOL = 1e-9
 UNIMODULAR_TOL = 1e-9
 _VALIDATION_SEED = 0x15EC7
 _VALIDATION_VECTORS = 64
@@ -133,16 +132,6 @@ def lamperti_operator(form: LampertiForm, ctx: LpContext) -> Operator:
     return mult_isometry(form.f, ctx).compose(transform_isometry(form.phi, ctx))
 
 
-def interplay_deviation(phi: BooleanAutomorphism, f: MeasurableFunction,
-                        ctx: LpContext) -> float:
-    """Max entry deviation between u_phi m_f u_phi^-1 and m_(phi . f)."""
-    u = transform_isometry(phi, ctx)
-    u_inv = transform_isometry(phi.inverse(), ctx)
-    lhs = u.compose(mult_isometry(f, ctx)).compose(u_inv)
-    rhs = mult_isometry(phi.push_function(f), ctx)
-    return lhs.max_abs_deviation(rhs)
-
-
 def clarkson_gap(xi, eta, ctx: LpContext) -> float:
     """The parallelogram defect |xi+eta|_p^p + |xi-eta|_p^p - 2(|xi|_p^p + |eta|_p^p).
 
@@ -158,26 +147,16 @@ def clarkson_gap(xi, eta, ctx: LpContext) -> float:
             - 2.0 * (vector_norm(x, ctx) ** p + vector_norm(y, ctx) ** p))
 
 
-def is_disjointness_preserving(op: Operator, tol: float = 1e-10) -> bool:
-    """Whether images of distinct atoms have (near) disjoint supports."""
-    m = np.abs(op.matrix)
-    n = m.shape[0]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if np.max(m[:, x] * m[:, y]) > tol:
-                return False
-    return True
-
-
-def lamperti_decompose(op: Operator, *, support_tol: float = SUPPORT_TOL,
-                       isometry_tol: float = ISOMETRY_TOL) -> LampertiForm:
+def lamperti_decompose(op: Operator, *, tol: float = DECOMPOSE_TOL) -> LampertiForm:
     """Factor a surjective isometry into phases and a permutation.
 
     Validates the isometry property on the atom basis and on a fixed batch
     of pseudorandom vectors, then reads the permutation off the column
     supports (away from p = 2 a genuine isometry has exactly one supported
     row per column) and divides out the weight factors to recover the
-    phases. The reconstruction must match the input entrywise.
+    phases. The reconstruction must match the input entrywise. tol is the
+    relative norm error the validation allows and the modulus at or below
+    which an entry counts as zero.
     """
     ctx = op.context
     p = ctx.p
@@ -195,18 +174,18 @@ def lamperti_decompose(op: Operator, *, support_tol: float = SUPPORT_TOL,
     for x in range(n):
         expected = w[x] ** (1.0 / p)
         got = vector_norm(m[:, x], ctx)
-        if abs(got - expected) > isometry_tol * max(1.0, expected):
+        if abs(got - expected) > tol * max(1.0, expected):
             raise NotIsometry(f"atom {x} changes norm: {got} vs {expected}")
     rng = np.random.default_rng(_VALIDATION_SEED)
     for _ in range(_VALIDATION_VECTORS):
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a, b = vector_norm(m @ xi, ctx), vector_norm(xi, ctx)
-        if abs(a - b) > isometry_tol * max(1.0, b):
+        if abs(a - b) > tol * max(1.0, b):
             raise NotIsometry("a random vector changes norm")
 
     perm = [-1] * n
     for x in range(n):
-        rows = np.flatnonzero(np.abs(m[:, x]) > support_tol)
+        rows = np.flatnonzero(np.abs(m[:, x]) > tol)
         if len(rows) != 1:
             raise NotIsometry(
                 f"column {x} has {len(rows)} supported rows; "
@@ -226,7 +205,7 @@ def lamperti_decompose(op: Operator, *, support_tol: float = SUPPORT_TOL,
     form = LampertiForm(MeasurableFunction(ctx.algebra, tuple(values)),
                         BooleanAutomorphism(ctx.algebra, tuple(perm)))
     residual = op.max_abs_deviation(lamperti_operator(form, ctx))
-    bound = max(1e-9, isometry_tol)
+    bound = max(1e-9, tol)
     if residual >= bound:
         raise NotIsometry(f"reconstruction residual {residual} exceeds {bound}")
     return form

@@ -1,8 +1,8 @@
 """Finite measure algebras: weighted atoms, valuations, pointwise functions.
 
-The level-set machinery (thresholded sets, layer-cake integrals, the
-derivative of one valuation by another) is kept explicit so tests can
-drive it against the direct atomwise formulas it must reproduce.
+The derivative of one valuation by another is read off its level sets, as
+in the measure-algebra definition, rather than computed atomwise; it
+reproduces the atomwise ratio float for float.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AlgebraMismatch, POutOfRange
+from .errors import AlgebraMismatch
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,10 @@ class Valuation:
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError("valuations must be strictly positive and finite")
 
-    def value(self, subset) -> float:
-        """Additive extension: the sum over the atoms of the subset."""
-        return sum(self.atom_values[x] for x in subset)
-
-    def total(self) -> float:
-        return sum(self.atom_values)
-
 
 @dataclass(frozen=True)
 class MeasurableFunction:
-    """A complex value per atom, queried through its level sets."""
+    """A complex value per atom."""
 
     algebra: FiniteMeasureAlgebra
     values: tuple[complex, ...]
@@ -68,26 +61,6 @@ class MeasurableFunction:
         if len(self.values) != self.algebra.atoms:
             raise ValueError("one value per atom required")
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-
-    @classmethod
-    def constant(cls, algebra: FiniteMeasureAlgebra, z: complex) -> MeasurableFunction:
-        return cls(algebra, (complex(z),) * algebra.atoms)
-
-    @classmethod
-    def indicator(cls, algebra: FiniteMeasureAlgebra, subset) -> MeasurableFunction:
-        inside = set(subset)
-        return cls(algebra, tuple(1.0 + 0j if x in inside else 0j
-                                  for x in range(algebra.atoms)))
-
-    def level_above(self, t: float) -> frozenset[int]:
-        """The set where the modulus exceeds t."""
-        return frozenset(x for x, v in enumerate(self.values) if abs(v) > t)
-
-    def level_at_most(self, t: float) -> frozenset[int]:
-        return frozenset(x for x, v in enumerate(self.values) if abs(v) <= t)
-
-    def abs(self) -> MeasurableFunction:
-        return MeasurableFunction(self.algebra, tuple(abs(v) for v in self.values))
 
     @property
     def sup_norm(self) -> float:
@@ -106,7 +79,7 @@ class MeasurableFunction:
 
 @dataclass(frozen=True)
 class BooleanAutomorphism:
-    """An atom permutation, acting on sets, functions and valuations."""
+    """An atom permutation, acting on functions and valuations."""
 
     algebra: FiniteMeasureAlgebra
     perm: tuple[int, ...]
@@ -115,25 +88,6 @@ class BooleanAutomorphism:
         n = self.algebra.atoms
         if len(self.perm) != n or sorted(self.perm) != list(range(n)):
             raise ValueError("perm must be a permutation of the atoms")
-
-    @classmethod
-    def identity(cls, algebra: FiniteMeasureAlgebra) -> BooleanAutomorphism:
-        return cls(algebra, tuple(range(algebra.atoms)))
-
-    def image(self, subset) -> frozenset[int]:
-        return frozenset(self.perm[x] for x in subset)
-
-    def inverse(self) -> BooleanAutomorphism:
-        inv = [0] * len(self.perm)
-        for x, y in enumerate(self.perm):
-            inv[y] = x
-        return BooleanAutomorphism(self.algebra, tuple(inv))
-
-    def compose(self, other: BooleanAutomorphism) -> BooleanAutomorphism:
-        """self after other."""
-        _same_algebra(self.algebra, other.algebra)
-        return BooleanAutomorphism(self.algebra,
-                                   tuple(self.perm[y] for y in other.perm))
 
     def push_function(self, f: MeasurableFunction) -> MeasurableFunction:
         """The transported function: value at perm[x] is the old value at x."""
@@ -194,45 +148,6 @@ def integrate(f: MeasurableFunction, mu: Valuation) -> complex:
     """The weighted sum of the values."""
     _same_algebra(f.algebra, mu.algebra)
     return sum(v * m for v, m in zip(f.values, mu.atom_values))
-
-
-def _layer_cake(values: list[float], mu: Valuation) -> float:
-    # integral of t -> mu(values > t), exact for piecewise-constant data
-    thresholds = sorted(set(values) | {0.0})
-    total = 0.0
-    for lo, hi in zip(thresholds, thresholds[1:]):
-        mass = sum(m for v, m in zip(values, mu.atom_values) if v >= hi)
-        total += (hi - lo) * mass
-    return total
-
-
-def integrate_layer_cake(f: MeasurableFunction, mu: Valuation) -> complex:
-    """The integral evaluated through tail masses over the level thresholds.
-
-    Real and imaginary parts are split into positive and negative parts and
-    each is integrated as the area under its decreasing tail-mass profile.
-    Agrees with integrate() to roundoff; kept as an independent route.
-    """
-    _same_algebra(f.algebra, mu.algebra)
-
-    def tail(part: list[float]) -> float:
-        pos = [max(v, 0.0) for v in part]
-        neg = [max(-v, 0.0) for v in part]
-        return _layer_cake(pos, mu) - _layer_cake(neg, mu)
-
-    re = tail([v.real for v in f.values])
-    im = tail([v.imag for v in f.values])
-    return complex(re, im)
-
-
-def lp_norm(f: MeasurableFunction, mu: Valuation, p: float) -> float:
-    """The weighted p-norm; p = inf gives the largest modulus."""
-    _same_algebra(f.algebra, mu.algebra)
-    if p == math.inf:
-        return max(abs(v) for v in f.values)
-    if p < 1.0:
-        raise POutOfRange("p-norms need p >= 1")
-    return sum(abs(v) ** p * m for v, m in zip(f.values, mu.atom_values)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .convolution import (AlgebraBasis, ConvolutionContext, PhasedPermutation,
 from .errors import NotGroupLike, P2Unsupported, POutOfRange
 from .groups import (FiniteGroup, GroupIso, is_isomorphic, make_cyclic,
                      make_direct_product)
-from .measure import BooleanAutomorphism
 from .pnorm import dual_transpose, pnorm_estimate
 
 P_MATCH_TOL = 1e-12
@@ -61,27 +60,6 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     except ValueError as exc:
         raise NotGroupLike(f"component table is not a group: {exc}") from exc
     return group, tuple(reps[p] for p in perms)
-
-
-def left_translation_match(pi: BooleanAutomorphism, ctx: ConvolutionContext) -> int:
-    """The unique element acting as the given automorphism by left translation.
-
-    Requires pi to commute with every right translation; the witness is
-    then pi applied to the identity atom.
-    """
-    g = ctx.group
-    n = g.order
-    if pi.algebra.atoms != n:
-        raise ValueError("automorphism does not act on the group's atoms")
-    perm = pi.perm
-    for t in range(n):
-        for x in range(n):
-            if perm[g.mul(x, t)] != g.mul(perm[x], t):
-                raise ValueError(
-                    f"automorphism does not commute with right translation by {t}")
-    s = perm[g.identity]
-    assert all(perm[x] == g.mul(s, x) for x in range(n))
-    return s
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 Complex numbers are [re, im] pairs, permutations are index arrays, and all
 numbers are finite doubles. Decoders exist for the payloads the CLI reads:
-groups, measure weights, operators and algebra bases. Each accepts what the
-matching encoder emits; a matrix that is not rectangular, a matrix entry,
-weight or exponent that is not a finite double (NaN, infinity, an integer
-too large to convert), or an order, n, identity or table entry that is not
-an integer, raises SchemaError.
+groups, measure weights, operators and algebra bases. The group and algebra
+decoders accept what the matching encoder emits. Weights are
+{"weights": [w, ...]}, and an operator is {"context": {"weights": [...],
+"p": p}, "matrix": rows of [re, im] pairs}; no command emits either. A
+matrix that is not rectangular, a matrix entry, weight or exponent that is
+not a finite double (NaN, infinity, an integer too large to convert), or an
+order, n, identity or table entry that is not an integer, raises
+SchemaError.
 """
 
 from __future__ import annotations
@@ -113,12 +116,6 @@ def _matrix_from_json(rows) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise SchemaError("bad matrix payload: entries must be finite")
     return m
-
-
-def operator_to_json(op: Operator) -> dict[str, Any]:
-    return {"context": {"weights": [float(w) for w in op.context.algebra.weights],
-                        "p": float(op.context.p)},
-            "matrix": _matrix_to_json(op.matrix)}
 
 
 def operator_from_json(data) -> Operator:

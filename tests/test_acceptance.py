@@ -13,7 +13,7 @@ SEED = 0
                               range(1, len(acceptance.ALL_CRITERIA) + 1)])
 def test_criterion(criterion):
     result = criterion(SEED)
-    print(result.line())
+    print(f"criterion {result.index} [{'PASS' if result.passed else 'FAIL'}] {result.name}")
     assert result.passed, result.details
     # the details go to JSON as they are: plain Python values, no numpy scalars
     assert all(type(v) in (bool, int, str, list) for v in result.details.values())

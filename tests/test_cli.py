@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import errno
 import io
 import json
 import tempfile
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpconv import serialize
+from lpconv import cli, serialize
 from lpconv.cli import build_parser, main
 from lpconv.convolution import ConvolutionContext, convolver_algebra
 from lpconv.groups import make_cyclic, make_direct_product, make_symmetric
-from lpconv.isometry import LpContext, Operator
+from lpconv.isometry import LpContext
 from lpconv.measure import FiniteMeasureAlgebra
 
 
@@ -81,6 +82,11 @@ def _operator_payload(matrix, p=3.0):
     return {"context": {"weights": [1.0, 1.0], "p": p}, "matrix": matrix}
 
 
+def _pairs(matrix):
+    """A complex matrix as rows of [re, im] pairs, the operator payload's form."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
 NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
 
@@ -139,8 +145,7 @@ def _payload_files(tmp_path):
         "GROUP": write_json(tmp_path / "z2.json", serialize.group_to_json(make_cyclic(2))),
         "ALGEBRA": write_json(tmp_path / "alg.json", serialize.algebra_basis_to_json(
             convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))),
-        "OPERATOR": write_json(tmp_path / "op.json", serialize.operator_to_json(
-            Operator(LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0), np.eye(2)))),
+        "OPERATOR": write_json(tmp_path / "op.json", _operator_payload(_pairs(np.eye(2)))),
         "WEIGHTS": write_json(tmp_path / "w.json", {"weights": [1.0, 2.0]}),
     }
 
@@ -365,11 +370,8 @@ def test_measure_check_rn(capsys, tmp_path):
 
 
 def test_isom_decompose_and_distance(capsys, tmp_path):
-    ctx = LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0)
-    op_a = Operator(ctx, np.array([[0.0, 1j], [1.0, 0.0]]))
-    op_b = Operator(ctx, np.eye(2))
-    a = write_json(tmp_path / "a.json", serialize.operator_to_json(op_a))
-    b = write_json(tmp_path / "b.json", serialize.operator_to_json(op_b))
+    a = write_json(tmp_path / "a.json", _operator_payload(_pairs([[0.0, 1j], [1.0, 0.0]])))
+    b = write_json(tmp_path / "b.json", _operator_payload(_pairs(np.eye(2))))
     code, data = run(capsys, "isom", "decompose", a)
     assert code == 0
     assert data["perm"] == [1, 0]
@@ -382,18 +384,15 @@ def test_isom_decompose_and_distance(capsys, tmp_path):
 
 
 def test_isom_decompose_rejects_non_isometry(capsys, tmp_path):
-    ctx = LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0)
-    bad = write_json(tmp_path / "bad.json", serialize.operator_to_json(
-        Operator(ctx, np.diag([2.0, 1.0]))))
+    bad = write_json(tmp_path / "bad.json", _operator_payload(_pairs(np.diag([2.0, 1.0]))))
     code, data = run(capsys, "isom", "decompose", bad)
     assert code == 1
     assert data["kind"] == "NotIsometry"
 
 
 def test_isom_decompose_tolerance_override(capsys, tmp_path):
-    ctx = LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0)
-    near = write_json(tmp_path / "near.json", serialize.operator_to_json(
-        Operator(ctx, np.array([[0.0, 1j], [1.0, 5e-8]]))))
+    near = write_json(tmp_path / "near.json",
+                      _operator_payload(_pairs([[0.0, 1j], [1.0, 5e-8]])))
     code, data = run(capsys, "isom", "decompose", near)
     assert code == 1 and data["kind"] == "NotIsometry"
     code, data = run(capsys, "isom", "decompose", near, "--tol", "1e-6")
@@ -401,9 +400,7 @@ def test_isom_decompose_tolerance_override(capsys, tmp_path):
 
 
 def test_norm_command(capsys, tmp_path):
-    ctx = LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0)
-    op = write_json(tmp_path / "op.json", serialize.operator_to_json(
-        Operator(ctx, np.ones((2, 2)))))
+    op = write_json(tmp_path / "op.json", _operator_payload(_pairs(np.ones((2, 2)))))
     code, data = run(capsys, "norm", op)
     assert code == 0
     assert data["lower"] == pytest.approx(2.0, abs=1e-6)
@@ -460,13 +457,62 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(out.read_text())["order"] == 3
 
 
+def _bad_path(tmp_path, monkeypatch, bad):
+    """A path that cannot be opened: DIR is a directory, MISSING sits in a
+    directory that does not exist, and LOCKED raises PermissionError when the
+    CLI opens it (chmod cannot lock a file against a process run as root)."""
+    if bad == "DIR":
+        return str(tmp_path)
+    if bad == "MISSING":
+        return str(tmp_path / "absent" / "file.json")
+    locked = str(tmp_path / "locked.json")
+    real_open = open
+
+    def guarded_open(file, *args, **kwargs):
+        if file == locked:
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+    return locked
+
+
+@pytest.mark.parametrize("argv, bad, error, kind", [
+    (["norm", "BAD"], "MISSING", "[Errno 2] No such file or directory", "missing-file"),
+    (["norm", "BAD"], "DIR", "[Errno 21] Is a directory", "unreadable-file"),
+    (["group", "iso", "BAD", "GROUP"], "DIR", "[Errno 21] Is a directory", "unreadable-file"),
+    (["norm", "BAD"], "LOCKED", "[Errno 13] Permission denied", "unreadable-file"),
+    (["group", "iso", "GROUP", "BAD"], "LOCKED", "[Errno 13] Permission denied",
+     "unreadable-file"),
+], ids=["missing", "directory-one-file", "directory-two-files", "locked-one-file",
+        "locked-two-files"])
+def test_unreadable_input_paths_end_in_json_errors(capsys, tmp_path, monkeypatch, argv, bad,
+                                                   error, kind):
+    files = _payload_files(tmp_path)
+    path = _bad_path(tmp_path, monkeypatch, bad)
+    assert main([path if a == "BAD" else files.get(a, a) for a in argv]) == 3
+    expected = {"error": f"{error}: '{path}'", "kind": kind}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", ["DIR", "MISSING", "LOCKED"],
+                         ids=["directory", "missing-parent", "locked"])
+@pytest.mark.parametrize("argv", [["group", "make", "cyclic", "3"],
+                                  ["group", "make", "symmetric", "6"]],
+                         ids=["result", "budget-error"])
+def test_unwritable_out_reports_on_stdout(capsys, tmp_path, monkeypatch, bad, argv):
+    path = _bad_path(tmp_path, monkeypatch, bad)
+    assert main(["--out", path, *argv]) == 2
+    data = _strict_json(capsys.readouterr().out)
+    assert data["kind"] == "unwritable-out" and path in data["error"]
+
+
 def test_operator_json_round_trip():
-    ctx = LpContext(FiniteMeasureAlgebra((1.0, 0.5)), 1.5)
-    op = Operator(ctx, np.array([[1j, 0.25], [-0.5, 2.0]]))
-    data = serialize.operator_to_json(op)
+    matrix = np.array([[1j, 0.25], [-0.5, 2.0]])
+    data = {"context": {"weights": [1.0, 0.5], "p": 1.5}, "matrix": _pairs(matrix)}
     back = serialize.operator_from_json(json.loads(json.dumps(data)))
-    assert back.context == op.context
-    assert np.array_equal(back.matrix, op.matrix)
+    assert back.context == LpContext(FiniteMeasureAlgebra((1.0, 0.5)), 1.5)
+    assert np.array_equal(back.matrix, matrix)
 
 
 def test_algebra_json_round_trip():

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from lpconv import convolution
-from lpconv.convolution import (ENUM_NODE_BUDGET, ENUM_TOL, AlgebraBasis,
-                                ConvolutionContext, PhasedPermutation,
-                                _check_closure_by_pairs,
+from lpconv.convolution import (ENUM_TOL, AlgebraBasis, ConvolutionContext,
+                                PhasedPermutation, _check_closure_by_pairs,
                                 _closed_by_two_generators, _PatternSearch,
-                                algebra_membership, convolver_algebra,
-                                convolver_basis_exact, left_regular,
-                                pseudofunction_algebra, right_regular,
-                                unitary_group_enumerate)
+                                convolver_algebra, convolver_basis_exact,
+                                left_regular, unitary_group_enumerate)
 from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
 from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product,
                            make_quaternion, make_symmetric, zoo)
@@ -22,17 +19,45 @@ from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product,
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
+def _right_regular(g, s):
+    """Right translation (R_s xi)(x) = xi(x s), a permutation matrix."""
+    m = np.zeros((g.order, g.order))
+    m[range(g.order), [g.mul(x, s) for x in range(g.order)]] = 1.0
+    return m
+
+
+def _translation_span(ctx):
+    """The span of the left translations, built from them directly."""
+    n = ctx.group.order
+    return AlgebraBasis(n, ctx.p, tuple(left_regular(ctx, s).matrix for s in range(n)))
+
+
+def _compose(a, b):
+    """The matrix product a @ b, as a class representative."""
+    return PhasedPermutation(tuple(a.perm[y] for y in b.perm),
+                             tuple(a.phases[b.perm[y]] * b.phases[y] for y in range(len(a.perm))),
+                             max(a.phase_dim, b.phase_dim))
+
+
+def _same_class(a, b, tol=ENUM_TOL):
+    """Equal permutation parts and phases equal up to a global scalar."""
+    ratios = [x / y for x, y in zip(a.phases, b.phases)]
+    return a.perm == b.perm and max(abs(r - ratios[0]) for r in ratios) <= tol
+
+
 def test_regular_representations_at_identity():
-    ctx = ConvolutionContext(make_cyclic(3), 3.0)
+    g = make_cyclic(3)
+    ctx = ConvolutionContext(g, 3.0)
     assert np.array_equal(left_regular(ctx, 0).matrix, np.eye(3))
-    assert np.array_equal(right_regular(ctx, 0).matrix, np.eye(3))
+    assert np.array_equal(_right_regular(g, 0), np.eye(3))
 
 
 def test_regular_representations_on_two_cycle():
-    ctx = ConvolutionContext(make_cyclic(2), 3.0)
+    g = make_cyclic(2)
+    ctx = ConvolutionContext(g, 3.0)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(left_regular(ctx, 1).matrix, swap)
-    assert np.array_equal(right_regular(ctx, 1).matrix, swap)
+    assert np.array_equal(_right_regular(g, 1), swap)
 
 
 def test_left_regular_is_a_homomorphism_on_s3():
@@ -45,8 +70,7 @@ def test_left_regular_is_a_homomorphism_on_s3():
 
 def test_right_regular_is_a_homomorphism_on_s3():
     g = make_symmetric(3)
-    ctx = ConvolutionContext(g, 1.5)
-    rho = [right_regular(ctx, s).matrix for s in range(6)]
+    rho = [_right_regular(g, s) for s in range(6)]
     for s, t in itertools.product(range(6), repeat=2):
         assert np.array_equal(rho[s] @ rho[t], rho[g.mul(s, t)])
 
@@ -56,22 +80,14 @@ def test_left_and_right_translations_commute_exactly():
     ctx = ConvolutionContext(g, 3.0)
     for s, t in itertools.product(range(8), repeat=2):
         lam = left_regular(ctx, s).matrix
-        rho = right_regular(ctx, t).matrix
+        rho = _right_regular(g, t)
         assert np.array_equal(lam @ rho, rho @ lam)
-
-
-def test_pseudofunction_dimensions():
-    assert pseudofunction_algebra(ConvolutionContext(make_cyclic(1), 3.0)).dimension == 1
-    for _, g in zoo():
-        assert pseudofunction_algebra(ConvolutionContext(g, 3.0)).dimension == g.order
 
 
 def test_pseudofunction_of_cycle_is_circulant_shifts():
     ctx = ConvolutionContext(make_cyclic(4), 3.0)
-    basis = pseudofunction_algebra(ctx)
-    for s, mat in enumerate(basis.elements):
-        expected = np.roll(np.eye(4), s, axis=0)
-        assert np.array_equal(mat.real, expected)
+    for s in range(4):
+        assert np.array_equal(left_regular(ctx, s).matrix, np.roll(np.eye(4), s, axis=0))
 
 
 def test_convolver_of_trivial_group():
@@ -90,7 +106,7 @@ def test_convolver_spans_translations_for_the_zoo():
     for _, g in zoo():
         ctx = ConvolutionContext(g, 3.0)
         cv = convolver_algebra(ctx)
-        pf = pseudofunction_algebra(ctx)
+        pf = _translation_span(ctx)
         assert cv.dimension == g.order
         for mat in pf.elements:
             assert cv.coordinates(mat) is not None
@@ -104,7 +120,7 @@ def test_convolver_commutes_with_right_translations_exactly():
     cv = convolver_algebra(ctx)
     for mat in cv.elements:
         for t in range(g.order):
-            rho = right_regular(ctx, t).matrix
+            rho = _right_regular(g, t)
             assert np.array_equal(mat @ rho, rho @ mat)
 
 
@@ -141,22 +157,20 @@ def test_exact_commutant_of_s5_is_the_left_translations():
 
 
 def test_membership_examples():
-    ctx = ConvolutionContext(make_cyclic(4), 3.0)
-    basis = pseudofunction_algebra(ctx)
-    coords = algebra_membership(basis, basis.elements[2])
+    basis = _translation_span(ConvolutionContext(make_cyclic(4), 3.0))
+    coords = basis.coordinates(basis.elements[2])
     assert coords is not None
     assert np.allclose(coords, np.eye(4)[2], atol=1e-12)
     combo = basis.elements[0] + basis.elements[1]
-    coords = algebra_membership(basis, combo)
+    coords = basis.coordinates(combo)
     assert np.allclose(coords, np.array([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_membership_rejects_outside_span():
-    ctx = ConvolutionContext(make_cyclic(3), 3.0)
-    basis = pseudofunction_algebra(ctx)
+    basis = _translation_span(ConvolutionContext(make_cyclic(3), 3.0))
     rng = np.random.default_rng(0)
     outside = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert algebra_membership(basis, outside) is None
+    assert basis.coordinates(outside) is None
 
 
 def test_basis_validation_rejects_unclosed_sets():
@@ -183,7 +197,7 @@ def _closure_cases():
     for name, g in zoo() + (("S4", make_symmetric(4)),):
         ctx = ConvolutionContext(g, 3.0)
         cases.append((f"{name} commutant", convolver_algebra(ctx).elements, True, True))
-        cases.append((f"{name} translations", pseudofunction_algebra(ctx).elements, True, True))
+        cases.append((f"{name} translations", _translation_span(ctx).elements, True, True))
     for g in (make_dihedral(6), make_direct_product(make_quaternion(), make_cyclic(4)),
               make_direct_product(make_quaternion(), make_cyclic(8))):
         basis, _ = _hidden_presentation(g, np.random.default_rng(g.order))
@@ -199,7 +213,7 @@ def _closure_cases():
     # products overflow, so the residual is NaN and must still reject
     cases.append(("3-cycle at 1e200", (1e200 * np.eye(3), 1e200 * np.roll(np.eye(3), 1, axis=0)),
                   False, False))
-    q8 = list(pseudofunction_algebra(ConvolutionContext(make_quaternion(), 3.0)).elements)
+    q8 = list(_translation_span(ConvolutionContext(make_quaternion(), 3.0)).elements)
     q8[3] = q8[3] + 1e-3 * np.random.default_rng(5).standard_normal((8, 8))
     cases.append(("perturbed Q8", q8, False, False))
     cases.append(("I, E12, E23", (np.eye(3), _unit(3, 0, 1), _unit(3, 1, 2)), False, False))
@@ -240,7 +254,7 @@ def test_enumeration_reuses_the_basis_frame(monkeypatch):
     _, s, vh = np.linalg.svd(np.stack([a.reshape(-1) for a in basis.elements]),
                              full_matrices=False)
     rank = int(np.sum(s > ENUM_TOL * s[0]))
-    reference = _PatternSearch(vh[:rank], n, ENUM_NODE_BUDGET, ENUM_TOL)
+    reference = _PatternSearch(vh[:rank], n)
     reference.descend(np.eye(rank, dtype=complex))
 
     searches, stack_svds = [], []
@@ -281,7 +295,7 @@ def test_enumerate_four_cycle_forms_cyclic_group():
     power = shift
     seen = {shift.perm}
     for _ in range(3):
-        power = power.compose(shift)
+        power = _compose(power, shift)
         seen.add(power.perm)
     assert len(seen) == 4
 
@@ -303,29 +317,30 @@ def test_enumerate_closure_and_projection_to_group_product():
     lam_perm = {s: tuple(int(np.argmax(left_regular(ctx, s).matrix.real[:, y]))
                          for y in range(6)) for s in range(6)}
     for u, v in itertools.product(units, repeat=2):
-        prod = u.compose(v)
+        prod = _compose(u, v)
         assert prod.perm in by_perm
-        assert by_perm[prod.perm].same_class(
-            PhasedPermutation(prod.perm, prod.phases, prod.phase_dim))
-        assert u.inverse().perm in by_perm
+        assert _same_class(by_perm[prod.perm], prod)
+        assert tuple(u.perm.index(x) for x in range(6)) in by_perm  # the inverse
     # scalar multiples of translations project to the translation product
     s, t = 3, 4
     a = PhasedPermutation(lam_perm[s], tuple(0.3 + 0.954j for _ in range(6)))
     b = PhasedPermutation(lam_perm[t], tuple(-1j for _ in range(6)))
-    assert a.compose(b).perm == lam_perm[g.mul(s, t)]
+    assert _compose(a, b).perm == lam_perm[g.mul(s, t)]
 
 
 @pytest.mark.parametrize("group, nodes", [(make_cyclic(4), 28), (make_quaternion(), 232)],
                          ids=["Z4", "Q8"])
-def test_enumerate_node_count_is_pinned(group, nodes):
+def test_enumerate_node_count_is_pinned(monkeypatch, group, nodes):
     # n root candidates, then each of the n one-dimensional children walks
     # its single path over (n - 1) + ... + 1 free rows: n + n * n(n - 1) / 2
     n = group.order
     assert nodes == n + n * n * (n - 1) // 2
     basis = convolver_algebra(ConvolutionContext(group, 3.0))
-    assert len(unitary_group_enumerate(basis, 3.0, node_budget=nodes)) == n
+    monkeypatch.setattr(convolution, "ENUM_NODE_BUDGET", nodes)
+    assert len(unitary_group_enumerate(basis, 3.0)) == n
+    monkeypatch.setattr(convolution, "ENUM_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetError):
-        unitary_group_enumerate(basis, 3.0, node_budget=nodes - 1)
+        unitary_group_enumerate(basis, 3.0)
 
 
 def _hidden_presentation(g, rng):
@@ -365,14 +380,14 @@ def test_enumerate_reads_phases_of_a_conjugated_presentation():
     n = g.order
     rng = np.random.default_rng(3)
     d = np.exp(2j * np.pi * rng.random(n))
-    lam = pseudofunction_algebra(ConvolutionContext(g, 1.5)).elements
+    lam = [left_regular(ConvolutionContext(g, 1.5), s).matrix for s in range(n)]
     basis = AlgebraBasis(n, 1.5, tuple(np.diag(d) @ m @ np.diag(1 / d) for m in lam))
     units = {u.perm: u for u in unitary_group_enumerate(basis, 1.5)}
     assert len(units) == n
     for s in range(n):
         perm = tuple(g.mul(s, y) for y in range(n))
         expected = PhasedPermutation(perm, tuple(d[perm[y]] / d[y] for y in range(n)))
-        assert units[perm].same_class(expected, tol=1e-12)
+        assert _same_class(units[perm], expected, tol=1e-12)
 
 
 def test_enumerate_full_matrix_algebra_yields_all_patterns():

@@ -78,14 +78,14 @@ def test_dihedral_matches_permutation_representation():
     )
     g = make_dihedral(4)
     assert g.order == 8
-    assert not g.is_abelian()
+    assert g.table != tuple(zip(*g.table))  # not abelian
     assert g.table == expected
 
 
 def test_quaternion_structure():
     q8 = make_quaternion()
     assert q8.order == 8
-    assert not q8.is_abelian()
+    assert q8.table != tuple(zip(*q8.table))  # not abelian
     assert q8.order_profile() == (1, 2, 4, 4, 4, 4, 4, 4)
     minus_one = 4
     assert all(q8.mul(x, x) == minus_one for x in (1, 2, 3))
@@ -155,6 +155,8 @@ def test_agrees_with_exhaustive_oracle_up_to_order_8():
 
 
 def test_isomorphism_is_an_equivalence_on_the_zoo():
+    # the inverse and the composite of witnesses are witnesses: GroupIso
+    # validates each map as it is built
     groups = [g for _, g in zoo() if g.order <= 8]
     witnesses = {}
     for i, a in enumerate(groups):
@@ -165,12 +167,12 @@ def test_isomorphism_is_an_equivalence_on_the_zoo():
         for j, b in enumerate(groups):
             w = witnesses[i, j]
             assert (w is None) == (witnesses[j, i] is None)
-            if w is not None:
-                w.inverse()  # validates by construction
+            if w is None:
+                continue
+            GroupIso(b, a, tuple(w.mapping.index(y) for y in range(b.order)))
             for k, c in enumerate(groups):
-                if w is not None and witnesses[j, k] is not None:
-                    composed = witnesses[j, k].compose(w)
-                    assert composed.source == a and composed.target == c
+                if witnesses[j, k] is not None:
+                    GroupIso(a, c, tuple(witnesses[j, k].mapping[y] for y in w.mapping))
 
 
 def relabel(g, names):

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpconv.errors import AlgebraMismatch, POutOfRange
+from lpconv.isometry import LpContext, vector_norm
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction, Valuation, integrate,
-                            integrate_layer_cake, lp_norm, rn_chain_rules,
-                            rn_derivative, rn_level_set)
+                            rn_chain_rules, rn_derivative, rn_level_set)
 
 positive = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
 
@@ -26,6 +26,37 @@ def valuation_pairs(draw, max_size=8):
     algebra = FiniteMeasureAlgebra(tuple(weights))
     sigma = Valuation(algebra, tuple(draw(st.lists(positive, min_size=n, max_size=n))))
     return algebra, sigma
+
+
+def _mass(v, subset):
+    """The additive extension of a valuation to a set of atoms."""
+    return sum(v.atom_values[x] for x in subset)
+
+
+def _layer_cake(values, mu):
+    """The integral of t -> mu(values > t) over t > 0, exact for
+    piecewise-constant nonnegative data."""
+    thresholds = sorted(set(values) | {0.0})
+    total = 0.0
+    for lo, hi in zip(thresholds, thresholds[1:]):
+        total += (hi - lo) * sum(m for v, m in zip(values, mu.atom_values) if v >= hi)
+    return total
+
+
+def _integrate_layer_cake(f, mu):
+    """The integral through tail masses over the level thresholds: real and
+    imaginary parts, each split into positive and negative parts, are
+    integrated as the area under their decreasing tail-mass profiles."""
+    def tail(part):
+        return (_layer_cake([max(v, 0.0) for v in part], mu)
+                - _layer_cake([max(-v, 0.0) for v in part], mu))
+
+    return complex(tail([v.real for v in f.values]), tail([v.imag for v in f.values]))
+
+
+def _norm(f, mu, p):
+    """The weighted p-norm of f, through vector_norm."""
+    return vector_norm(f.values, LpContext(FiniteMeasureAlgebra(mu.atom_values), p))
 
 
 def test_algebra_rejects_nonpositive_weights():
@@ -72,7 +103,7 @@ def brute_force_level_set(sigma, mu, t):
     best: set[int] = set()
     for r in range(n + 1):
         for subset in itertools.combinations(atoms, r):
-            if all(sigma.value(sub) <= t * mu.value(sub)
+            if all(_mass(sigma, sub) <= t * _mass(mu, sub)
                    for k in range(len(subset) + 1)
                    for sub in itertools.combinations(subset, k)):
                 best |= set(subset)
@@ -103,14 +134,14 @@ def test_band_inequality_over_all_subsets():
         band = [x for x in range(5) if s <= d.values[x].real <= t]
         for r in range(len(band) + 1):
             for subset in itertools.combinations(band, r):
-                ms, mt = mu.value(subset), sigma.value(subset)
+                ms, mt = _mass(mu, subset), _mass(sigma, subset)
                 assert s * ms <= mt + 1e-12
                 assert mt <= t * ms + 1e-12
 
 
 def test_integral_of_atom_indicator():
     algebra = FiniteMeasureAlgebra((1.0, 2.0))
-    f = MeasurableFunction.indicator(algebra, {0})
+    f = MeasurableFunction(algebra, (1.0, 0.0))
     assert integrate(f, algebra.mu()) == 1.0
 
 
@@ -119,7 +150,7 @@ def test_integral_recovers_total_mass_through_derivative():
     mu = algebra.mu()
     sigma = Valuation(algebra, (3.0, 1.0))
     d = rn_derivative(sigma, mu)
-    assert integrate(d, mu) == pytest.approx(sigma.total(), abs=1e-14)
+    assert integrate(d, mu) == pytest.approx(sum(sigma.atom_values), abs=1e-14)
 
 
 @given(valuation_pairs(max_size=6),
@@ -141,18 +172,18 @@ def test_layer_cake_agrees_with_weighted_sum(pair, coords):
     mu = algebra.mu()
     n = algebra.atoms
     f = MeasurableFunction(algebra, tuple(complex(a, b) for a, b in coords[:n]))
-    assert abs(integrate(f, mu) - integrate_layer_cake(f, mu)) <= 1e-12
+    assert abs(integrate(f, mu) - _integrate_layer_cake(f, mu)) <= 1e-12
 
 
 def test_lp_norm_examples():
     counting = FiniteMeasureAlgebra((1.0, 1.0))
-    mu = counting.mu()
     f = MeasurableFunction(counting, (1.0, 1.0))
-    assert lp_norm(f, mu, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    g = MeasurableFunction(counting, (1.0, 0.0))
-    assert lp_norm(g, mu, math.inf) == 1.0
-    with pytest.raises(POutOfRange):
-        lp_norm(f, mu, 0.5)
+    assert _norm(f, counting.mu(), 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    g = MeasurableFunction(counting, (1.0 + 1.0j, -2.0))
+    assert g.sup_norm == 2.0
+    for p in (0.5, math.inf):
+        with pytest.raises(POutOfRange):
+            LpContext(counting, p)
 
 
 @given(valuation_pairs(max_size=8),
@@ -164,8 +195,8 @@ def test_lp_norm_against_layer_cake_of_powers(pair, coords, p):
     n = algebra.atoms
     f = MeasurableFunction(algebra, tuple(complex(a, b) for a, b in coords[:n]))
     powered = MeasurableFunction(algebra, tuple(abs(v) ** p for v in f.values))
-    oracle = integrate_layer_cake(powered, mu).real ** (1.0 / p)
-    assert lp_norm(f, mu, p) == pytest.approx(oracle, abs=1e-12)
+    oracle = _integrate_layer_cake(powered, mu).real ** (1.0 / p)
+    assert _norm(f, mu, p) == pytest.approx(oracle, abs=1e-12)
 
 
 @given(valuation_pairs(max_size=6),
@@ -178,29 +209,16 @@ def test_lp_norm_triangle_and_homogeneity(pair, coords, p):
     f = MeasurableFunction(algebra, tuple(complex(a, b) for a, b in coords[:n]))
     g = MeasurableFunction(algebra, tuple(complex(a, b) for a, b in coords[n:2 * n]))
     fg = MeasurableFunction(algebra, tuple(a + b for a, b in zip(f.values, g.values)))
-    assert lp_norm(fg, mu, p) <= lp_norm(f, mu, p) + lp_norm(g, mu, p) + 1e-12
+    assert _norm(fg, mu, p) <= _norm(f, mu, p) + _norm(g, mu, p) + 1e-12
     scaled = MeasurableFunction(algebra, tuple(-2.5 * v for v in f.values))
-    assert lp_norm(scaled, mu, p) == pytest.approx(2.5 * lp_norm(f, mu, p), rel=1e-12)
-
-
-def test_automorphism_preserves_boolean_operations():
-    algebra = FiniteMeasureAlgebra((1.0, 1.0, 2.0, 0.5))
-    phi = BooleanAutomorphism(algebra, (2, 0, 3, 1))
-    atoms = set(range(4))
-    subsets = [frozenset(s) for r in range(5)
-               for s in itertools.combinations(range(4), r)]
-    for a in subsets:
-        assert phi.image(atoms - a) == frozenset(phi.image(atoms)) - phi.image(a)
-        for b in subsets:
-            assert phi.image(a | b) == phi.image(a) | phi.image(b)
-            assert phi.image(a & b) == phi.image(a) & phi.image(b)
+    assert _norm(scaled, mu, p) == pytest.approx(2.5 * _norm(f, mu, p), rel=1e-12)
 
 
 def test_chain_rules_trivial_cases():
     algebra = FiniteMeasureAlgebra((1.0, 2.0, 0.5))
     mu = algebra.mu()
     sigma = Valuation(algebra, (0.9, 1.4, 2.2))
-    identity = BooleanAutomorphism.identity(algebra)
+    identity = BooleanAutomorphism(algebra, (0, 1, 2))
     report = rn_chain_rules(mu, sigma, sigma, identity)
     assert report.product_deviation <= 1e-15
     assert report.push_deviation == 0.0
@@ -214,11 +232,3 @@ def test_chain_rules_random_instance():
     rho = Valuation(algebra, tuple(rng.uniform(0.5, 2.0, 4)))
     phi = BooleanAutomorphism(algebra, (3, 1, 0, 2))
     assert rn_chain_rules(mu, sigma, rho, phi).max_deviation < 1e-12
-
-
-def test_function_level_set_queries():
-    algebra = FiniteMeasureAlgebra((1.0, 1.0, 1.0))
-    f = MeasurableFunction(algebra, (0.5, -2.0, 1.0 + 1.0j))
-    assert f.level_above(1.0) == frozenset({1, 2})
-    assert f.level_at_most(1.0) == frozenset({0})
-    assert f.sup_norm == 2.0

@@ -149,9 +149,9 @@ def test_estimate_translation_difference_attains_two():
 def test_translation_witness_on_three_cycle():
     # point masses certify the split ratio 2 for distinct translations
     ctx = ctx_for((1.0, 1.0, 1.0), 3.0)
-    one = MeasurableFunction.constant(ctx.algebra, 1.0)
+    one = MeasurableFunction(ctx.algebra, (1.0, 1.0, 1.0))
     shift = LampertiForm(one, BooleanAutomorphism(ctx.algebra, (1, 2, 0)))
-    ident = LampertiForm(one, BooleanAutomorphism.identity(ctx.algebra))
+    ident = LampertiForm(one, BooleanAutomorphism(ctx.algebra, (0, 1, 2)))
     xi = norm_witness_disjoint(shift, ident, ctx)
     assert split_norm_ratio(shift, ident, xi, ctx) == pytest.approx(2.0, abs=1e-12)
 
@@ -322,9 +322,9 @@ def test_estimate_on_degenerate_matrices(kind):
 
 def test_disjoint_witness_certifies_two():
     ctx = LpContext(COUNTING2, 3.0)
-    identity = BooleanAutomorphism.identity(ctx.algebra)
+    identity = BooleanAutomorphism(ctx.algebra, (0, 1))
     swap = BooleanAutomorphism(ctx.algebra, (1, 0))
-    one = MeasurableFunction.constant(ctx.algebra, 1.0)
+    one = MeasurableFunction(ctx.algebra, (1.0, 1.0))
     a = LampertiForm(one, swap)
     b = LampertiForm(one, identity)
     xi = norm_witness_disjoint(a, b, ctx)
@@ -349,7 +349,7 @@ def test_disjoint_witness_weighted_still_two():
 def test_disjoint_witness_requires_distinct_permutations():
     ctx = LpContext(COUNTING2, 3.0)
     swap = BooleanAutomorphism(ctx.algebra, (1, 0))
-    one = MeasurableFunction.constant(ctx.algebra, 1.0)
+    one = MeasurableFunction(ctx.algebra, (1.0, 1.0))
     a = LampertiForm(one, swap)
     with pytest.raises(ValueError):
         norm_witness_disjoint(a, a, ctx)

@@ -15,8 +15,7 @@ from lpconv.measure import BooleanAutomorphism, FiniteMeasureAlgebra
 from lpconv.pnorm import pnorm_estimate
 from lpconv.reconstruction import (components, decide_isomorphism,
                                    dual_antiisomorphism_check,
-                                   left_translation_match, p2_degeneracy_demo,
-                                   recover_group)
+                                   p2_degeneracy_demo, recover_group)
 
 # numerical trouble must end in a verdict or an error, not in a warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -66,9 +65,22 @@ def test_components_require_scalar_class():
         components([cycle])
 
 
+def _as_matrix(u):
+    """The phased permutation matrix of a class representative."""
+    n = len(u.perm)
+    m = np.zeros((n, n), dtype=complex)
+    m[list(u.perm), range(n)] = u.phases
+    return m
+
+
+def _perm_part(m):
+    """The supported row of each column of a phased permutation matrix."""
+    return tuple(np.argmax(np.abs(m), axis=0).tolist())
+
+
 def _components_by_phased_products(units):
     """components as it was before it composed permutation parts alone: the
-    table reads the permutation part of full PhasedPermutation products."""
+    table reads the permutation part of full phased permutation products."""
     units = list(units)
     if not units:
         raise NotGroupLike("no isometry classes to quotient")
@@ -84,7 +96,7 @@ def _components_by_phased_products(units):
     for a in perms:
         row = []
         for b in perms:
-            prod = reps[a].compose(reps[b]).perm
+            prod = _perm_part(_as_matrix(reps[a]) @ _as_matrix(reps[b]))
             if prod not in index:
                 raise NotGroupLike("component classes are not closed under product")
             row.append(index[prod])
@@ -141,36 +153,37 @@ def test_components_refuse_as_the_phased_product_route(units):
     assert str(refused.value) == str(reference.value)
 
 
+def _left_translation_match(perm, g):
+    """The element s with perm = L_s, for an atom permutation that commutes
+    with every right translation (Wendel's characterisation)."""
+    for t in range(g.order):
+        for x in range(g.order):
+            if perm[g.mul(x, t)] != g.mul(perm[x], t):
+                raise ValueError(f"the permutation does not commute with right translation by {t}")
+    s = perm[g.identity]
+    assert all(perm[x] == g.mul(s, x) for x in range(g.order))
+    return s
+
+
 def test_left_translation_match_identity():
     g = make_symmetric(3)
-    ctx = ConvolutionContext(g, 3.0)
-    algebra = FiniteMeasureAlgebra((1.0,) * 6)
-    identity = BooleanAutomorphism.identity(algebra)
-    assert left_translation_match(identity, ctx) == g.identity
+    assert _left_translation_match(tuple(range(6)), g) == g.identity
 
 
 def test_left_translation_match_recovers_every_element():
     for _, g in zoo():
         if g.order > 8:
             continue
-        ctx = ConvolutionContext(g, 3.0)
-        algebra = FiniteMeasureAlgebra((1.0,) * g.order)
         for s in range(g.order):
-            ls = BooleanAutomorphism(algebra,
-                                     tuple(g.mul(s, x) for x in range(g.order)))
-            assert left_translation_match(ls, ctx) == s
+            assert _left_translation_match(tuple(g.mul(s, x) for x in range(g.order)), g) == s
 
 
 def test_left_translation_match_rejects_right_translations():
     g = make_dihedral(4)
-    ctx = ConvolutionContext(g, 3.0)
-    algebra = FiniteMeasureAlgebra((1.0,) * 8)
     noncentral = next(t for t in range(8)
                       if any(g.mul(t, x) != g.mul(x, t) for x in range(8)))
-    rt = BooleanAutomorphism(algebra,
-                             tuple(g.mul(x, noncentral) for x in range(8)))
     with pytest.raises(ValueError):
-        left_translation_match(rt, ctx)
+        _left_translation_match(tuple(g.mul(x, noncentral) for x in range(8)), g)
 
 
 def test_recover_four_cycle_and_klein_are_distinguished():
@@ -195,8 +208,8 @@ def test_recovered_representatives_project_to_the_table():
     perms = [rep.perm for rep in rec.representatives]
     for a in range(rec.group.order):
         for b in range(rec.group.order):
-            prod = rec.representatives[a].compose(rec.representatives[b])
-            assert perms[rec.group.mul(a, b)] == prod.perm
+            prod = _as_matrix(rec.representatives[a]) @ _as_matrix(rec.representatives[b])
+            assert perms[rec.group.mul(a, b)] == _perm_part(prod)
 
 
 def test_recovery_is_presentation_invariant():
@@ -258,7 +271,7 @@ def test_structural_components_match_numeric_majorant_gap():
             for b in units[i + 1:]:
                 closed = lamperti_distance(as_form(a), as_form(b), ctx)
                 assert closed == 2.0
-                est = pnorm_estimate(a.as_matrix() - b.as_matrix(), ctx,
+                est = pnorm_estimate(_as_matrix(a) - _as_matrix(b), ctx,
                                      starts=2, seed=0)
                 assert est.upper == pytest.approx(closed, abs=1e-6)
                 assert est.lower <= closed + 1e-9
