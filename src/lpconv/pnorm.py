@@ -2,16 +2,16 @@
 
 Exact p -> p norms of general complex matrices are out of reach, so
 pnorm_estimate, the one entry point, returns a sandwich: a lower bound
-certified by an explicit witness vector, and an upper bound from a nonlinear
-power iteration on the entrywise-absolute majorant. One signed-power
-iteration does both: it runs every start of the lower bound on the matrix,
-as the rows of one block, and it runs on the majorant. On nonnegative input
-the matrix is its own majorant, and Boyd's run from the all-ones vector
-seeds one of the starts, so the lower bound is never below that run.
-Generalized permutation matrices (at most one nonzero per row and column)
-admit an exact closed form and collapse the sandwich. Weighted spaces are
-reduced to unweighted ones by the diagonal similarity xi -> w^(1/p) * xi
-before iterating.
+certified by an explicit witness vector, and an upper bound proved by the
+Schur test on the entrywise-absolute majorant. One signed-power iteration
+finds the points both bounds are read at: it runs every start of the lower
+bound on the matrix, as the rows of one block, and it runs once on the
+majorant. On nonnegative input the matrix is its own majorant, and Boyd's
+run from the all-ones vector seeds one of the starts, so the lower bound is
+never below that run. Generalized permutation matrices (at most one nonzero
+per row and column) admit an exact closed form and collapse the sandwich.
+Weighted spaces are reduced to unweighted ones by the diagonal similarity
+xi -> w^(1/p) * xi before iterating.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ BOYD_TOL = 1e-10
 BOYD_MAX_ITER = 10_000
 _START_MAX_ITER = 30
 _TINY = np.finfo(float).tiny
+# the Schur test is read at each point z lifted to z + eps * max(z) for these eps
+_LIFTS = 10.0 ** -np.arange(16.0)
 
 
 @dataclass(frozen=True)
@@ -35,14 +37,13 @@ class NormEstimate:
     """A certified sandwich around an operator norm.
 
     The witness attains the lower bound: |A witness|_p / |witness|_p equals
-    lower to roundoff. upper majorizes the true norm whenever the power
-    iteration on the absolute matrix reached its global fixed point, which
-    holds for entrywise-positive input; no bound proved for every input
-    backs it up yet.
+    lower to roundoff. upper is proved: the Schur test on the absolute
+    matrix bounds its norm, and so the norm of A, for every input.
 
     iterations counts the power-iteration passes of every start, of the best
-    start's continuation, and of both runs on the majorant. A generalized
-    permutation takes none: lower and upper are both its exact norm.
+    start's continuation, and of the one run on the majorant; converged says
+    that the majorant run stopped before its cap. A generalized permutation
+    takes none: lower and upper are both its exact norm.
     """
 
     lower: float
@@ -198,19 +199,44 @@ def _power_iterate(a: np.ndarray, p: float, x0: np.ndarray, tol: float,
     return best_val, best_x, passes, converged
 
 
+def _schur_upper(b: np.ndarray, p: float, points: np.ndarray) -> float:
+    """A proved upper bound on the unweighted p-norm of the nonnegative b.
+
+    For any z > 0 Hoelder gives the Schur test
+    |b|_p <= max_j (b^T (b z)^(p-1))_j^(1/p) / z_j^((p-1)/p). It is read at
+    the all-ones vector and at every nonnegative, nonzero row x of points,
+    lifted to x + eps * max(x) for eps = 1, 1e-1, ..., 1e-15: the fixed point
+    of a reducible b has zeros, where the test is infinite, and every lift
+    is a valid z. The least value is inflated by 1 + 4(n + 2) times the
+    machine epsilon, a constant that covers the roundoff of the reduction
+    onto b, of the two n-term products and of the powers.
+    """
+    n = b.shape[1]
+    lifted = points[:, None, :] + _LIFTS[:, None] * points.max(axis=1)[:, None, None]
+    z = np.concatenate([np.ones((1, n)), lifted.reshape(-1, n)])
+    # on the unit p-sphere no entry of b z exceeds the norm of b, so the powers
+    # overflow only where the runs' own |b x|^p would
+    z = z / _unweighted_norm(z, p)[:, None]
+    s = _apply(b.T, _apply(b, z) ** (p - 1.0))
+    bound = np.min(np.max(s ** (1.0 / p) / z ** ((p - 1.0) / p), axis=1))
+    return float(bound * (1.0 + 4.0 * (n + 2) * np.finfo(float).eps))
+
+
 def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormEstimate:
     """Sandwich the p -> p norm of a complex matrix.
 
     Lower bound: the best value of the signed-power iteration on the matrix
-    over its starts, the atom basis vectors, the first majorant run's point
-    and seeded random draws. They run together as the rows of one block for
+    over its starts, the atom basis vectors, the majorant run's point and
+    seeded random draws. They run together as the rows of one block for
     a few passes, and only the best start, if it has not settled, goes on to
-    its fixed point. Upper bound: the power iteration value on the
-    entrywise-absolute majorant, re-run from the modulus of the best point so
-    the sandwich cannot invert. Every run works in reduced (unweighted)
+    its fixed point. Upper bound: the Schur test on the entrywise-absolute
+    majorant, read at the majorant run's point and at the modulus of the
+    best point (see _schur_upper). It is proved, so it is at least the norm
+    and the sandwich cannot invert. Every run works in reduced (unweighted)
     coordinates. Generalized permutation input collapses to the exact closed
     form. The returned iterations are the passes of every start, of the
-    continuation and of both majorant runs.
+    continuation and of the majorant run; converged says that the majorant
+    run stopped before its cap.
     """
     p = ctx.p
     _require_interior_p(p)
@@ -231,16 +257,16 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     a = _reduce(m, ctx)
     # the similarity is a positive diagonal, so this is the reduced |m|
     majorant = np.abs(a)
-    first, first_x, passes, first_converged = _power_iterate(
+    _, run_x, passes, run_converged = _power_iterate(
         majorant, p, np.ones((1, n)), BOYD_TOL, BOYD_MAX_ITER)
     iterations = int(passes[0])
 
-    # rows: the atoms, the first majorant run's point, then the random draws
+    # rows: the atoms, the majorant run's point, then the random draws
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((starts, 2, n))
     x0 = np.empty((n + 1 + starts, n), dtype=complex)
     x0[:n] = np.eye(n)
-    x0[n] = first_x[0]
+    x0[n] = run_x[0]
     x0[n + 1:] = draws[:, 0] + 1j * draws[:, 1]
 
     vals, xs, passes, settled = _power_iterate(a, p, x0, 0.0, _START_MAX_ITER)
@@ -259,14 +285,8 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
     witness = (best_x / w ** (1.0 / p)).astype(complex)
     lower = _rayleigh(m, witness, ctx)
 
-    second, _, passes, second_converged = _power_iterate(
-        majorant, p, np.abs(best_x)[None], BOYD_TOL, BOYD_MAX_ITER)
-    iterations += int(passes[0])
-    # the majorant dominates every Rayleigh quotient of m; max() only
-    # absorbs last-digit roundoff
-    upper = float(max(first[0], second[0], lower))
-    converged = bool(first_converged[0] and second_converged[0])
-    return NormEstimate(lower, upper, witness, iterations, converged)
+    upper = _schur_upper(majorant, p, np.stack([run_x[0], np.abs(best_x)]))
+    return NormEstimate(lower, upper, witness, iterations, bool(run_converged[0]))
 
 
 def norm_witness_disjoint(a: LampertiForm, b: LampertiForm, ctx: LpContext) -> np.ndarray:

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpconv import pnorm
+from lpconv import acceptance, pnorm
 from lpconv.isometry import (LampertiForm, LpContext, lamperti_operator,
                              transform_isometry, vector_norm)
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction)
-from lpconv.pnorm import (BOYD_MAX_ITER, BOYD_TOL, _power_iterate, _reduce, _unweighted_norm,
-                          dual_transpose, norm_witness_disjoint, pnorm_estimate,
-                          pnorm_genperm_exact, split_norm_ratio)
+from lpconv.pnorm import (BOYD_MAX_ITER, BOYD_TOL, _power_iterate, _reduce, _schur_upper,
+                          _unweighted_norm, dual_transpose, norm_witness_disjoint,
+                          pnorm_estimate, pnorm_genperm_exact, split_norm_ratio)
 
 # the norm engine must stop a run before it divides by a vanishing value
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -89,6 +89,7 @@ def sweep_norm(m, p):
 
 @given(st.integers(0, 2**16), st.sampled_from([1.5, 2.5, 4.0]))
 @settings(max_examples=15)
+@example(seed=4248, p=2.5)  # the Schur test at the majorant run's point alone reads 1.2e-6 high
 def test_boyd_matches_coarse_grid(seed, p):
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.1, 1.0, (2, 2))
@@ -272,31 +273,88 @@ def test_power_iterate_on_positive_matrices(seed, n, p):
             val[0], rel=1e-12)
 
 
-def test_second_majorant_run_starts_at_the_reduced_witness(monkeypatch):
+def test_certificate_reads_the_best_point_in_reduced_coordinates(monkeypatch):
     # on a weighted space the best point lives in reduced coordinates,
-    # witness * w^(1/p); the majorant re-run must start there, not at |witness|
+    # witness * w^(1/p); the Schur test must be read there, not at |witness|
     rng = np.random.default_rng(3)
     n, p = 4, 3.0
     weights = np.array([0.05, 0.4, 1.0, 6.0])
     ctx = ctx_for(weights, p)
     m = rng.uniform(0.1, 1.0, (n, n))
-    runs = []
+    runs, reads = [], []
 
-    def recording(a, p_, x0, tol, max_iter):
-        out = _power_iterate(a, p_, x0, tol, max_iter)
-        runs.append((np.array(x0), out))
-        return out
+    def recording_run(a, *args):
+        runs.append(a)
+        return _power_iterate(a, *args)
 
-    monkeypatch.setattr(pnorm, "_power_iterate", recording)
+    def recording_read(b, p_, points):
+        reads.append(np.array(points))
+        return _schur_upper(b, p_, points)
+
+    monkeypatch.setattr(pnorm, "_power_iterate", recording_run)
+    monkeypatch.setattr(pnorm, "_schur_upper", recording_read)
     est = pnorm_estimate(m, ctx, starts=3, seed=0)
-    start, (value, _, passes, _) = runs[-1]
-    assert start.shape == (1, n)
+    # the matrix runs are complex; the majorant runs once
+    assert sum(not np.iscomplexobj(a) for a in runs) == 1
+    (points,) = reads
+    assert points.shape == (2, n)
+
+    def direction(v):
+        return v / _unweighted_norm(v, p)
+
     reduced = np.abs(est.witness) * weights ** (1.0 / p)
-    assert start[0] / _unweighted_norm(start[0], p) == pytest.approx(
-        reduced / _unweighted_norm(reduced, p), rel=1e-12)
-    # m is nonnegative, so that point already is the majorant's fixed point
-    assert passes[0] == 1
-    assert value[0] == pytest.approx(est.lower, rel=1e-12)
+    assert direction(points[1]) == pytest.approx(direction(reduced), rel=1e-12)
+    assert not np.allclose(direction(points[1]), direction(np.abs(est.witness)), rtol=1e-3)
+    # m is positive, so the test is nearly tight near its fixed point
+    assert est.lower <= est.upper <= est.lower * (1.0 + 1e-7)
+
+
+def _criterion_4_operands(seed, trial):
+    """Replay criterion 4's generator up to one trial: its difference of
+    isometries, context, forms and estimate seed."""
+    rng = acceptance._rng(seed, 4)
+    for _ in range(trial + 1):
+        n = int(rng.integers(2, 7))
+        algebra = acceptance._random_algebra(rng, n)
+        p = float(acceptance.P_GRID[rng.integers(len(acceptance.P_GRID))])
+        a = acceptance._random_form(rng, algebra)
+        b = acceptance._random_form(rng, algebra)
+        if rng.uniform() < 0.5:
+            b = LampertiForm(b.f, a.phi)
+        est_seed = int(rng.integers(2**31))
+    ctx = LpContext(algebra, p)
+    diff = lamperti_operator(a, ctx).matrix - lamperti_operator(b, ctx).matrix
+    return diff, ctx, a, b, est_seed
+
+
+@pytest.mark.parametrize("trial", [75, 181])
+def test_upper_certifies_the_majorant_norm_two(trial):
+    # criterion 4, seed 3: the majorant run hits its cap still rising, and
+    # its Rayleigh value read below the majorant's norm, exactly 2
+    diff, ctx, a, b, est_seed = _criterion_4_operands(3, trial)
+    assert ctx.p == 1.5 and a.phi.perm != b.phi.perm
+    est = pnorm_estimate(diff, ctx, starts=4, seed=est_seed)
+    assert not est.converged
+    assert est.upper >= 2.0
+    assert est.upper - 2.0 <= 1e-9
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
+@settings(max_examples=20, deadline=None)
+def test_upper_is_proved(seed, n, p):
+    # no Rayleigh value of the reduced majorant, from long runs from ones
+    # and from random nonnegative starts, rises above upper
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
+        * (rng.uniform(size=(n, n)) < rng.uniform(0.2, 0.8))
+    if np.count_nonzero(m[:, 0]) < 2:
+        m[:2, 0] = rng.standard_normal(2) + 1.0  # not a generalized permutation
+    ctx = ctx_for(rng.uniform(0.2, 5.0, n), p)
+    est = pnorm_estimate(m, ctx, starts=4, seed=seed)
+    majorant = np.abs(_reduce(m, ctx))
+    x0 = np.concatenate([np.ones((1, n)), rng.uniform(0.0, 1.0, (3, n))])
+    vals, _, _, _ = _power_iterate(majorant, p, x0, 0.0, 20_000)
+    assert vals.max() <= est.upper
 
 
 @pytest.mark.parametrize("kind", ["zero-column", "rank-one"])
