@@ -16,16 +16,14 @@ from .groups import (FiniteGroup, GroupIso, is_isomorphic, make_cyclic,
                      make_symmetric, zoo)
 from .isometry import (LampertiForm, LpContext, Operator, clarkson_gap,
                        lamperti_decompose, lamperti_distance,
-                       lamperti_operator, mult_isometry, transform_isometry,
-                       vector_norm)
+                       lamperti_operator, mult_isometry, norm_witness_disjoint,
+                       split_norm_ratio, transform_isometry, vector_norm)
 from .measure import (BooleanAutomorphism, ChainRuleReport,
                       FiniteMeasureAlgebra, MeasurableFunction, Valuation,
                       integrate, rn_chain_rules, rn_derivative, rn_level_set)
-from .pnorm import (NormEstimate, dual_transpose, norm_witness_disjoint,
-                    pnorm_estimate, pnorm_genperm_exact, split_norm_ratio)
-from .reconstruction import (DualityReport, IsoVerdict, P2DemoReport,
-                             RecoveredGroup, components, decide_isomorphism,
-                             dual_antiisomorphism_check, p2_degeneracy_demo,
-                             recover_group)
+from .pnorm import NormEstimate, pnorm_estimate, pnorm_genperm_exact
+from .reconstruction import (IsoVerdict, P2DemoReport, RecoveredGroup,
+                             components, decide_isomorphism,
+                             p2_degeneracy_demo, recover_group)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

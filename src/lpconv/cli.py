@@ -64,11 +64,9 @@ def _load_enumerable_bases(paths: list[str]) -> list[AlgebraBasis]:
     whose n is over the search's atom cap before a basis is built."""
     payloads = [_load(path) for path in paths]
     for data in payloads:
-        try:
-            n = int(data["n"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            continue  # the decoder reports the malformed payload
-        if n > ENUM_ATOM_BUDGET:
+        n = data.get("n") if isinstance(data, dict) else None
+        # anything but a JSON integer is left for the decoder to report as malformed
+        if type(n) is int and n > ENUM_ATOM_BUDGET:
             raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
     return [serialize.algebra_basis_from_json(data) for data in payloads]
 
@@ -78,6 +76,16 @@ def _parse_perm(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"takes comma separated integers, got {text!r}") from exc
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:  # numpy would refuse a negative seed mid-run
+        raise argparse.ArgumentTypeError(f"takes an integer of at least 0, got {text!r}")
+    return seed
 
 
 def _parse_criteria(text: str) -> list[int]:
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    seed = {"type": int, "default": 0}
+    seed = {"type": _parse_seed, "default": 0}
     group = actions("group", "construct groups and test isomorphism")
     make = actions("make", dest="family", parent=group)
     for family, fn in (("cyclic", make_cyclic), ("dihedral", make_dihedral),

@@ -7,7 +7,8 @@ into that normal form. The distance between two factored isometries has
 the closed form max(sup distance of the phase functions, 2 if the
 permutations differ); note that 2 is attained by the entrywise-absolute
 majorant, while the complex operator norm can sit strictly below it when
-the relative phases are generic.
+the relative phases are generic. A point mass where the permutations differ
+certifies that 2 (norm_witness_disjoint, split_norm_ratio).
 """
 
 from __future__ import annotations
@@ -223,3 +224,35 @@ def lamperti_distance(a: LampertiForm, b: LampertiForm, ctx: LpContext) -> float
     if a.phi.perm != b.phi.perm:
         return 2.0
     return float((a.f - b.f).sup_norm)
+
+
+def norm_witness_disjoint(a: LampertiForm, b: LampertiForm, ctx: LpContext) -> np.ndarray:
+    """A normalized point mass on an atom where the two permutations differ.
+
+    The two isometries send it to unit vectors with disjoint supports, so
+    their norms add up to exactly 2 (see split_norm_ratio) and the
+    entrywise-absolute difference attains operator norm 2 on it.
+    """
+    if a.phi.perm == b.phi.perm:
+        raise ValueError("the permutation parts coincide; no disjoint witness exists")
+    n = ctx.algebra.atoms
+    c = next(x for x in range(n) if a.phi.perm[x] != b.phi.perm[x])
+    xi = np.zeros(n, dtype=complex)
+    xi[c] = 1.0 / ctx.algebra.weights[c] ** (1.0 / ctx.p)
+    return xi
+
+
+def split_norm_ratio(a: LampertiForm, b: LampertiForm, xi, ctx: LpContext) -> float:
+    """(|A xi|_p + |B xi|_p) / |xi|_p for the two composed isometries.
+
+    Equals 2 exactly on any nonzero vector since both factors preserve the
+    norm; on a disjoint witness this certifies that the absolute majorant
+    of A - B has norm 2.
+    """
+    x = np.asarray(xi, dtype=complex).reshape(-1)
+    denom = vector_norm(x, ctx)
+    if denom == 0.0:
+        raise ValueError("witness must be nonzero")
+    am = lamperti_operator(a, ctx).matrix
+    bm = lamperti_operator(b, ctx).matrix
+    return (vector_norm(am @ x, ctx) + vector_norm(bm @ x, ctx)) / denom

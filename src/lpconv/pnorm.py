@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import POutOfRange
-from .isometry import LampertiForm, LpContext, Operator, lamperti_operator, vector_norm
+from .isometry import LpContext, Operator, vector_norm
 
 BOYD_TOL = 1e-10
 BOYD_MAX_ITER = 10_000
@@ -287,46 +287,3 @@ def pnorm_estimate(obj, ctx: LpContext, starts: int = 8, seed: int = 0) -> NormE
 
     upper = _schur_upper(majorant, p, np.stack([run_x[0], np.abs(best_x)]))
     return NormEstimate(lower, upper, witness, iterations, bool(run_converged[0]))
-
-
-def norm_witness_disjoint(a: LampertiForm, b: LampertiForm, ctx: LpContext) -> np.ndarray:
-    """A normalized point mass on an atom where the two permutations differ.
-
-    The two isometries send it to unit vectors with disjoint supports, so
-    their norms add up to exactly 2 (see split_norm_ratio) and the
-    entrywise-absolute difference attains operator norm 2 on it.
-    """
-    if a.phi.perm == b.phi.perm:
-        raise ValueError("the permutation parts coincide; no disjoint witness exists")
-    n = ctx.algebra.atoms
-    c = next(x for x in range(n) if a.phi.perm[x] != b.phi.perm[x])
-    xi = np.zeros(n, dtype=complex)
-    xi[c] = 1.0 / ctx.algebra.weights[c] ** (1.0 / ctx.p)
-    return xi
-
-
-def split_norm_ratio(a: LampertiForm, b: LampertiForm, xi, ctx: LpContext) -> float:
-    """(|A xi|_p + |B xi|_p) / |xi|_p for the two composed isometries.
-
-    Equals 2 exactly on any nonzero vector since both factors preserve the
-    norm; on a disjoint witness this certifies that the absolute majorant
-    of A - B has norm 2.
-    """
-    x = np.asarray(xi, dtype=complex).reshape(-1)
-    denom = vector_norm(x, ctx)
-    if denom == 0.0:
-        raise ValueError("witness must be nonzero")
-    am = lamperti_operator(a, ctx).matrix
-    bm = lamperti_operator(b, ctx).matrix
-    return (vector_norm(am @ x, ctx) + vector_norm(bm @ x, ctx)) / denom
-
-
-def dual_transpose(obj, ctx: LpContext) -> np.ndarray:
-    """The weight-adjusted transpose W^-1 A^T W.
-
-    Its p' -> p' norm on the same weighted space equals the p -> p norm of
-    the input; with counting measure it is the plain transpose.
-    """
-    m = _as_matrix(obj)
-    w = ctx.weight_array
-    return (m.T * w[None, :]) / w[:, None]

@@ -22,9 +22,9 @@ from .convolution import (AlgebraBasis, ConvolutionContext, PhasedPermutation,
 from .errors import NotGroupLike, P2Unsupported, POutOfRange
 from .groups import (FiniteGroup, GroupIso, is_isomorphic, make_cyclic,
                      make_direct_product)
-from .pnorm import dual_transpose, pnorm_estimate
 
 P_MATCH_TOL = 1e-12
+P2_DEMO_SAMPLES = 100
 
 
 def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
@@ -120,47 +120,6 @@ def decide_isomorphism(basis_a: AlgebraBasis, p: float,
 
 
 @dataclass(frozen=True)
-class DualityReport:
-    samples: int
-    max_overlap_gap: float
-    max_reversal_residual: float
-
-
-def dual_antiisomorphism_check(ctx: ConvolutionContext, samples: int = 20,
-                               seed: int = 0, starts: int = 4) -> DualityReport:
-    """Transpose duality between the exponent and its conjugate.
-
-    For random span elements the p -> p norm sandwich and the transposed
-    element's p' -> p' sandwich must overlap (they bracket the same norm),
-    and the transpose must reverse products entrywise.
-    """
-    rng = np.random.default_rng(seed)
-    g = ctx.group
-    n = g.order
-    lam = [left_regular(ctx, s).matrix for s in range(n)]
-    ctx_p = ctx.lp_context()
-    ctx_q = ConvolutionContext(g, ctx.p / (ctx.p - 1.0)).lp_context()
-
-    def random_element():
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return sum(ci * li for ci, li in zip(c, lam))
-
-    max_gap = 0.0
-    max_reversal = 0.0
-    for _ in range(samples):
-        a = random_element()
-        est_p = pnorm_estimate(a, ctx_p, starts=starts, seed=int(rng.integers(2**31)))
-        est_q = pnorm_estimate(dual_transpose(a, ctx_p), ctx_q, starts=starts,
-                               seed=int(rng.integers(2**31)))
-        gap = max(est_p.lower, est_q.lower) - min(est_p.upper, est_q.upper)
-        max_gap = max(max_gap, gap)
-        b = random_element()
-        residual = float(np.max(np.abs((a @ b).T - b.T @ a.T)))
-        max_reversal = max(max_reversal, residual)
-    return DualityReport(samples, max_gap, max_reversal)
-
-
-@dataclass(frozen=True)
 class P2DemoReport:
     """Evidence that exponent 2 cannot tell the two order-4 groups apart."""
 
@@ -180,7 +139,7 @@ def _sorted_spectrum(m: np.ndarray) -> tuple[complex, ...]:
                                                                  round(z.imag, 9))))
 
 
-def p2_degeneracy_demo(samples: int = 100, seed: int = 0) -> P2DemoReport:
+def p2_degeneracy_demo(seed: int = 0) -> P2DemoReport:
     """An explicit isometric algebra isomorphism at p = 2 that no group
     isomorphism underlies.
 
@@ -231,7 +190,7 @@ def p2_degeneracy_demo(samples: int = 100, seed: int = 0) -> P2DemoReport:
 
     random_mult = 0.0
     norm_dev = 0.0
-    for _ in range(samples):
+    for _ in range(P2_DEMO_SAMPLES):
         ca = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         cb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a = sum(c * m for c, m in zip(ca, lam4))
@@ -250,7 +209,7 @@ def p2_degeneracy_demo(samples: int = 100, seed: int = 0) -> P2DemoReport:
     )
 
     return P2DemoReport(
-        samples=samples,
+        samples=P2_DEMO_SAMPLES,
         basis_mult_residual=basis_mult,
         random_mult_residual=random_mult,
         norm_agreement_max=norm_dev,

@@ -7,9 +7,10 @@ decoders accept what the matching encoder emits. Weights are
 {"weights": [w, ...]}, and an operator is {"context": {"weights": [...],
 "p": p}, "matrix": rows of [re, im] pairs}; no command emits either. A
 matrix that is not rectangular, a matrix entry, weight or exponent that is
-not a finite double (NaN, infinity, an integer too large to convert), or an
-order, n, identity or table entry that is not an integer, raises
-SchemaError.
+not a JSON number or not a finite double (NaN, infinity, an integer too
+large to convert), or an order, n, identity or table entry that is not a
+JSON integer, raises SchemaError. Numbers are not coerced: a bool or a
+string is never a number, and a float is never an integer.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _number(value) -> float:
+    """A JSON number as a float; OverflowError for an integer too large."""
+    if type(value) not in (int, float):  # a bool is an int to isinstance
+        raise TypeError(f"a {type(value).__name__} is not a number")
+    return float(value)
+
+
 def _from_pair(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise SchemaError("complex numbers are [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_number(pair[0]), _number(pair[1]))
 
 
 def group_to_json(g: FiniteGroup) -> dict[str, Any]:
@@ -48,10 +56,9 @@ def group_to_json(g: FiniteGroup) -> dict[str, Any]:
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad {what}: {exc}") from exc
+    if type(value) is not int:
+        raise SchemaError(f"bad {what}: a {type(value).__name__} is not an integer")
+    return value
 
 
 def group_from_json(data) -> FiniteGroup:
@@ -77,8 +84,8 @@ def iso_to_json(iso: GroupIso | None) -> Any:
 
 def _finite(value, what: str) -> float:
     try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        x = _number(value)
+    except (TypeError, OverflowError) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc
     if not math.isfinite(x):
         raise SchemaError(f"bad {what}: {x} is not finite")

@@ -122,13 +122,33 @@ _VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0
      3),
     # json.load refuses an integer literal over 4,300 digits with a plain ValueError
     (["norm", "FILE"], "[" + "9" * 4301 + "]", 3),
+    # numbers are not coerced: a float is no integer, a bool or a string no number
+    (["group", "iso", "FILE", "FILE"], {"order": 2.7, "table": [[0, 1], [1, 0]],
+                                        "identity": 0.9}, 3),
+    (["group", "iso", "FILE", "FILE"], {"order": "2", "table": [[0, 1], [1, 0]],
+                                        "identity": 0}, 3),
+    (["group", "iso", "FILE", "FILE"], {"order": 2, "table": [[0, 1], [True, 0]],
+                                        "identity": 0}, 3),
+    (["norm", "FILE"], _operator_payload(_VALID_OPERATOR["matrix"], p="3"), 3),
+    (["norm", "FILE"], _operator_payload([[[True, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+     3),
+    (["norm", "FILE"], _operator_payload([[["1", 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+     3),
+    (["measure", "rnd", "FILE", "FILE"], {"weights": [True, 1.0]}, 3),
+    (["recover", "FILE"], {"n": "100", "p": 3.0, "basis": [[[[1.0, 0.0]]]]}, 3),
+    (["norm", "FILE", "--seed", "-1"], _VALID_OPERATOR, 2),
+    (["demo", "p2", "--seed", "-1"], None, 2),
+    (["suite", "run", "--seed", "-1", "--criteria", "5"], None, 2),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
         "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
         "weights-nan", "p-nan", "n-not-a-number", "order-not-a-number", "n-infinite",
         "order-infinite", "starts-negative", "starts-over-budget", "unknown-command",
         "starts-not-a-number", "bad-choice", "missing-positional", "p-huge-integer",
-        "weight-huge-integer", "entry-huge-integer", "integer-over-4300-digits"])
+        "weight-huge-integer", "entry-huge-integer", "integer-over-4300-digits",
+        "order-float", "order-string", "table-entry-bool", "p-string", "entry-bool",
+        "entry-string", "weight-bool", "n-string-over-cap", "norm-seed-negative",
+        "demo-seed-negative", "suite-seed-negative"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     # a str payload is written as it stands: json.dumps cannot write every input
     if payload is not None:

@@ -14,7 +14,6 @@ from lpconv.isometry import LpContext
 from lpconv.measure import BooleanAutomorphism, FiniteMeasureAlgebra
 from lpconv.pnorm import pnorm_estimate
 from lpconv.reconstruction import (components, decide_isomorphism,
-                                   dual_antiisomorphism_check,
                                    p2_degeneracy_demo, recover_group)
 
 # numerical trouble must end in a verdict or an error, not in a warning
@@ -314,13 +313,6 @@ def test_decide_rejects_p2():
         decide_isomorphism(cv, 2.0, cv, 3.0)
 
 
-def test_duality_check_on_translations():
-    report = dual_antiisomorphism_check(ConvolutionContext(make_symmetric(3), 3.0),
-                                        samples=5, seed=1)
-    assert report.max_overlap_gap <= 2e-6
-    assert report.max_reversal_residual <= 1e-13
-
-
 def test_duality_norms_of_shift_plus_identity():
     ctx = ConvolutionContext(make_cyclic(2), 3.0)
     lam1 = left_regular(ctx, 1).matrix
@@ -333,7 +325,7 @@ def test_duality_norms_of_shift_plus_identity():
 
 
 def test_p2_demo_report():
-    report = p2_degeneracy_demo(samples=25, seed=3)
+    report = p2_degeneracy_demo(seed=3)
     assert report.basis_mult_residual < 1e-12
     assert report.random_mult_residual < 1e-12
     assert report.norm_agreement_max < 1e-9

@@ -1,5 +1,5 @@
-"""Guard against regrowth: every definition in src/lpconv has a caller that is
-not a test.
+"""Guard against regrowth: every definition in src/lpconv, and every defaulted
+parameter of one, has a caller that is not a test.
 
 The callers that justify a definition are the package itself, the scripts and
 the benchmark. A top-level function or class counts as reached when its name
@@ -8,6 +8,11 @@ that name is read. Attributes of imported modules (np.abs, math.inf) do not
 count, nor do reads inside definitions that are themselves unreached, so a
 dead chain is found whole. A method whose name several package classes
 define is skipped: a name alone cannot tell which of them a read reaches.
+
+A defaulted parameter counts as reached when some call in the same callers,
+to a function or attribute of its definition's name, passes it by keyword or
+by position (or passes *args or **kwargs that could hold it). A call through
+a variable reaches no parameter, so a default only tests override is found.
 """
 
 import ast
@@ -18,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lpconv"
 CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "benchmark")
 ALLOWED = {("_Parser", "error")}  # argparse calls the parser's error() itself
+ALLOWED_DEFAULTS = {("main", "argv")}  # cli.main's argv is the tests' way in
 
 
 def _definitions():
@@ -85,3 +91,50 @@ def _is_read(definition, reads) -> bool:
 def test_every_definition_has_a_caller_outside_the_tests():
     unreached = _unreached()
     assert not unreached, "only tests reach:\n" + "\n".join(unreached)
+
+
+def _calls():
+    """(name, positional count, keywords, takes any) of every call by a caller:
+    the called function's or attribute's name, how many arguments it passes
+    by position and which by keyword, and whether *args or **kwargs passes an
+    unknown set."""
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                yield name, len(node.args), keywords, starred or None in keywords
+
+
+def _unpassed_defaults() -> list[str]:
+    calls = [c for c in _calls() if c[0] is not None]
+    unpassed = []
+    for path, cls, name, node in _definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # a method's first parameter is bound, not passed (the package has no
+        # static methods)
+        offset = 1 if cls is not None else 0
+        defaulted = [(i - offset, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for index, arg in defaulted:
+            if (name, arg) in ALLOWED_DEFAULTS:
+                continue
+            if not any(n == name and (anything or arg in keywords
+                                      or (index is not None and index < count))
+                       for n, count, keywords, anything in calls):
+                unpassed.append(f"{path.name}: {cls + '.' if cls else ''}{name}({arg}=)")
+    return unpassed
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    unpassed = _unpassed_defaults()
+    assert not unpassed, "only tests pass:\n" + "\n".join(unpassed)
