@@ -13,19 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import acceptance, serialize
-from .convolution import (ENUM_ATOM_BUDGET, AlgebraBasis, ConvolutionContext,
-                          convolver_algebra, unitary_group_enumerate)
+# the numeric handlers import their own callees, so a group or measure
+# command, --help and a usage error start without numpy
+from . import serialize
 from .errors import BudgetError, LpconvError
 from .groups import (is_isomorphic, make_cyclic, make_dihedral,
                      make_direct_product, make_quaternion, make_symmetric)
-from .isometry import DECOMPOSE_TOL, LpContext, lamperti_decompose, lamperti_distance
 from .measure import (BooleanAutomorphism, Valuation, rn_chain_rules,
                       rn_derivative)
-from .pnorm import pnorm_estimate
-from .reconstruction import decide_isomorphism, p2_degeneracy_demo, recover_group
 from .serialize import SchemaError
+
+if TYPE_CHECKING:
+    from .convolution import AlgebraBasis
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -62,6 +63,7 @@ def _load(path: str):
 def _load_enumerable_bases(paths: list[str]) -> list[AlgebraBasis]:
     """Decode algebra payloads bound for the pattern search, refusing any
     whose n is over the search's atom cap before a basis is built."""
+    from .convolution import ENUM_ATOM_BUDGET
     payloads = [_load(path) for path in paths]
     for data in payloads:
         n = data.get("n") if isinstance(data, dict) else None
@@ -88,7 +90,18 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:  # argparse's own wording for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= tol < float("inf"):  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"takes a finite number of at least 0, got {text!r}")
+    return tol
+
+
 def _parse_criteria(text: str) -> list[int]:
+    from . import acceptance
     count = len(acceptance.ALL_CRITERIA)
     parts = [v.strip() for v in text.split(",")]
     if not all(v.isdecimal() and 1 <= int(v) <= count for v in parts):
@@ -135,12 +148,16 @@ def _cmd_measure_check_rn(args) -> tuple[object, int]:
 
 
 def _cmd_isom_decompose(args) -> tuple[object, int]:
-    form = lamperti_decompose(serialize.operator_from_json(_load(args.file)), tol=args.tol)
+    from .isometry import DECOMPOSE_TOL, lamperti_decompose
+    tol = DECOMPOSE_TOL if args.tol is None else args.tol
+    form = lamperti_decompose(serialize.operator_from_json(_load(args.file)), tol=tol)
     return {"phases": serialize.function_to_json(form.f),
             "perm": list(form.phi.perm)}, EXIT_OK
 
 
 def _cmd_isom_distance(args) -> tuple[object, int]:
+    from .isometry import lamperti_decompose, lamperti_distance
+    from .pnorm import pnorm_estimate
     op_a = serialize.operator_from_json(_load(args.a))
     op_b = serialize.operator_from_json(_load(args.b))
     if op_a.context != op_b.context:
@@ -153,6 +170,8 @@ def _cmd_isom_distance(args) -> tuple[object, int]:
 
 
 def _cmd_norm(args) -> tuple[object, int]:
+    from .isometry import LpContext
+    from .pnorm import pnorm_estimate
     if args.starts < 0:
         raise UsageError(f"--starts takes a count of at least 0, got {args.starts}")
     if args.starts > NORM_STARTS_BUDGET:
@@ -164,12 +183,14 @@ def _cmd_norm(args) -> tuple[object, int]:
 
 
 def _cmd_algebra_build(args) -> tuple[object, int]:
+    from .convolution import ConvolutionContext, convolver_algebra
     g = serialize.group_from_json(_load(args.file))
     basis = convolver_algebra(ConvolutionContext(g, args.p))
     return serialize.algebra_basis_to_json(basis), EXIT_OK
 
 
 def _cmd_algebra_unitaries(args) -> tuple[object, int]:
+    from .convolution import unitary_group_enumerate
     basis, = _load_enumerable_bases([args.file])
     units = unitary_group_enumerate(basis, basis.p)
     return {"count": len(units),
@@ -177,21 +198,25 @@ def _cmd_algebra_unitaries(args) -> tuple[object, int]:
 
 
 def _cmd_recover(args) -> tuple[object, int]:
+    from .reconstruction import recover_group
     basis, = _load_enumerable_bases([args.file])
     return serialize.recovered_group_to_json(recover_group(basis, basis.p)), EXIT_OK
 
 
 def _cmd_decide(args) -> tuple[object, int]:
+    from .reconstruction import decide_isomorphism
     basis_a, basis_b = _load_enumerable_bases([args.a, args.b])
     verdict = decide_isomorphism(basis_a, basis_a.p, basis_b, basis_b.p)
     return serialize.verdict_to_json(verdict), EXIT_OK
 
 
 def _cmd_demo_p2(args) -> tuple[object, int]:
+    from .reconstruction import p2_degeneracy_demo
     return serialize.p2_report_to_json(p2_degeneracy_demo(seed=args.seed)), EXIT_OK
 
 
 def _cmd_suite_run(args) -> tuple[object, int]:
+    from . import acceptance
     report = acceptance.run_suite(seed=args.seed, indices=args.criteria)
     return report, EXIT_OK if report["all_passed"] else EXIT_DOMAIN
 
@@ -233,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     isom = actions("isom", "factor isometries and measure distances")
     leaf(isom, "decompose", _cmd_isom_decompose, "file",
-         tol={"type": float, "default": DECOMPOSE_TOL, "help": "validation tolerance override"})
+         tol={"type": _parse_tol, "help": "validation tolerance override"})
     leaf(isom, "distance", _cmd_isom_distance, "a", "b", seed=seed)
 
     leaf(commands, "norm", _cmd_norm, "file", help="certified operator norm sandwich",

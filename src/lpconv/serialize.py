@@ -16,17 +16,21 @@ string is never a number, and a float is never an integer.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .convolution import AlgebraBasis, PhasedPermutation
 from .errors import BudgetError
-from .groups import TABLE_BUDGET, FiniteGroup, GroupIso
-from .isometry import LpContext, Operator
-from .measure import FiniteMeasureAlgebra, MeasurableFunction
-from .pnorm import NormEstimate
-from .reconstruction import IsoVerdict, P2DemoReport, RecoveredGroup
+from .groups import TABLE_BUDGET, FiniteGroup
+from .measure import FiniteMeasureAlgebra
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .convolution import AlgebraBasis, PhasedPermutation
+    from .groups import GroupIso
+    from .isometry import Operator
+    from .measure import MeasurableFunction
+    from .pnorm import NormEstimate
+    from .reconstruction import IsoVerdict, P2DemoReport, RecoveredGroup
 
 
 class SchemaError(ValueError):
@@ -110,10 +114,12 @@ def function_to_json(f: MeasurableFunction) -> dict[str, Any]:
 
 
 def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    import numpy as np
     return [[_complex_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _matrix_from_json(rows) -> np.ndarray:
+    import numpy as np
     try:
         m = np.array([[_from_pair(v) for v in row] for row in rows], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -126,6 +132,7 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 
 def operator_from_json(data) -> Operator:
+    from .isometry import LpContext, Operator
     try:
         ctx = data["context"]
         context = LpContext(algebra_weights_from_json(ctx),
@@ -141,6 +148,7 @@ def algebra_basis_to_json(basis: AlgebraBasis) -> dict[str, Any]:
 
 
 def algebra_basis_from_json(data) -> AlgebraBasis:
+    from .convolution import AlgebraBasis
     try:
         mats = tuple(_matrix_from_json(m) for m in data["basis"])
         return AlgebraBasis(_integer(data["n"], "algebra payload: n"),
@@ -150,6 +158,7 @@ def algebra_basis_from_json(data) -> AlgebraBasis:
 
 
 def norm_estimate_to_json(est: NormEstimate) -> dict[str, Any]:
+    import numpy as np
     return {"lower": float(est.lower), "upper": float(est.upper),
             "witness": [_complex_pair(v) for v in np.asarray(est.witness)],
             "iterations": int(est.iterations), "converged": bool(est.converged)}

@@ -4,6 +4,9 @@ import copy
 import errno
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -89,6 +92,7 @@ def _pairs(matrix):
 
 NAN_ROWS = [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+_IDENTITY_OPERATOR = _operator_payload(_pairs(np.eye(2)))
 
 
 @pytest.mark.parametrize("argv, payload, expected", [
@@ -139,6 +143,9 @@ _VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0
     (["norm", "FILE", "--seed", "-1"], _VALID_OPERATOR, 2),
     (["demo", "p2", "--seed", "-1"], None, 2),
     (["suite", "run", "--seed", "-1", "--criteria", "5"], None, 2),
+    (["isom", "decompose", "FILE", "--tol", "-1"], _IDENTITY_OPERATOR, 2),
+    (["isom", "decompose", "FILE", "--tol", "nan"], _IDENTITY_OPERATOR, 2),
+    (["isom", "decompose", "FILE", "--tol", "inf"], _IDENTITY_OPERATOR, 2),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
         "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
@@ -148,7 +155,8 @@ _VALID_OPERATOR = _operator_payload([[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0
         "weight-huge-integer", "entry-huge-integer", "integer-over-4300-digits",
         "order-float", "order-string", "table-entry-bool", "p-string", "entry-bool",
         "entry-string", "weight-bool", "n-string-over-cap", "norm-seed-negative",
-        "demo-seed-negative", "suite-seed-negative"])
+        "demo-seed-negative", "suite-seed-negative", "tol-negative", "tol-nan",
+        "tol-infinite"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     # a str payload is written as it stands: json.dumps cannot write every input
     if payload is not None:
@@ -165,7 +173,7 @@ def _payload_files(tmp_path):
         "GROUP": write_json(tmp_path / "z2.json", serialize.group_to_json(make_cyclic(2))),
         "ALGEBRA": write_json(tmp_path / "alg.json", serialize.algebra_basis_to_json(
             convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))),
-        "OPERATOR": write_json(tmp_path / "op.json", _operator_payload(_pairs(np.eye(2)))),
+        "OPERATOR": write_json(tmp_path / "op.json", _IDENTITY_OPERATOR),
         "WEIGHTS": write_json(tmp_path / "w.json", {"weights": [1.0, 2.0]}),
     }
 
@@ -232,6 +240,52 @@ def test_every_command_refuses_an_extra_argument_and_an_unknown_flag(capsys, tmp
         code, data = run(capsys, *argv, *extra)
         assert code == 2
         assert data["kind"] == "usage" and set(data) == {"error", "kind"}
+
+
+# main(argv) in a fresh interpreter; prints its exit code and which heavy modules it loaded
+_PROBE = """\
+import contextlib, io, json, sys
+from lpconv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+heavy = ("numpy", "lpconv.acceptance")
+print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def _cold_run(tmp_path, argv):
+    """Exit code of a command run in a fresh interpreter, and the set of
+    numpy and lpconv.acceptance that it loaded."""
+    files = _payload_files(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *(files.get(a, a) for a in argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    return result["code"], set(result["loaded"])
+
+
+_LIGHT = sorted(leaf for leaf in _LEAVES if leaf[0] in ("group", "measure"))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    *(([*leaf, *_LEAVES[leaf]], 0) for leaf in _LIGHT),
+    (["--help"], 0),
+    (["group", "make", "cyclic", "abc"], 2),
+], ids=[*(" ".join(leaf) for leaf in _LIGHT), "help", "usage-error"])
+def test_group_and_measure_commands_start_without_numpy(tmp_path, argv, expected):
+    code, loaded = _cold_run(tmp_path, argv)
+    assert code == expected
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("leaf", [("recover",), ("decide",), ("algebra", "build"), ("norm",)],
+                         ids=" ".join)
+def test_numeric_commands_leave_the_acceptance_suite_unloaded(tmp_path, leaf):
+    code, loaded = _cold_run(tmp_path, [*leaf, *_LEAVES[leaf]])
+    assert code == 0
+    assert loaded == {"numpy"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,68 @@
+"""The package's export table: `lpconv.X` resolves on first use to the
+submodule's own object, and `import lpconv` alone loads no numpy."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lpconv
+
+EXPORTS = {
+    "convolution": ["AlgebraBasis", "ConvolutionContext", "PhasedPermutation",
+                    "convolver_algebra", "convolver_basis_exact", "left_regular",
+                    "unitary_group_enumerate"],
+    "errors": ["AlgebraMismatch", "BudgetError", "LpconvError", "NotGroupLike", "NotIsometry",
+               "P2Unsupported", "POutOfRange"],
+    "groups": ["FiniteGroup", "GroupIso", "is_isomorphic", "make_cyclic", "make_dihedral",
+               "make_direct_product", "make_quaternion", "make_symmetric", "zoo"],
+    "isometry": ["LampertiForm", "LpContext", "Operator", "clarkson_gap", "lamperti_decompose",
+                 "lamperti_distance", "lamperti_operator", "mult_isometry",
+                 "norm_witness_disjoint", "split_norm_ratio", "transform_isometry",
+                 "vector_norm"],
+    "measure": ["BooleanAutomorphism", "ChainRuleReport", "FiniteMeasureAlgebra",
+                "MeasurableFunction", "Valuation", "integrate", "rn_chain_rules",
+                "rn_derivative", "rn_level_set"],
+    "pnorm": ["NormEstimate", "pnorm_estimate", "pnorm_genperm_exact"],
+    "reconstruction": ["IsoVerdict", "P2DemoReport", "RecoveredGroup", "components",
+                       "decide_isomorphism", "p2_degeneracy_demo", "recover_group"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+def test_all_lists_the_exported_names():
+    assert len(NAMES) == 54
+    assert lpconv.__all__ == NAMES
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_each_name_is_its_submodule_object(module, name):
+    assert getattr(lpconv, name) is getattr(importlib.import_module(f"lpconv.{module}"), name)
+
+
+def test_dir_and_star_import_list_every_name():
+    assert set(NAMES) <= set(dir(lpconv))
+    namespace = {}
+    exec("from lpconv import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "DECOMPOSE_TOL"])
+def test_a_name_outside_the_table_raises_attribute_error(name):
+    # DECOMPOSE_TOL lives in lpconv.isometry but is not exported
+    with pytest.raises(AttributeError, match=name):
+        getattr(lpconv, name)
+
+
+def test_import_lpconv_loads_no_numpy():
+    src = str(Path(lpconv.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, lpconv; "
+             "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'lpconv'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "['lpconv']"
