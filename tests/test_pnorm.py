@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpconv import acceptance, pnorm
+from lpconv.groups import zoo
 from lpconv.isometry import (LampertiForm, LpContext, lamperti_operator,
                              norm_witness_disjoint, split_norm_ratio,
                              transform_isometry, vector_norm)
@@ -203,10 +204,11 @@ def test_power_iterate_rows_do_not_interact(seed, n, p, zero_column):
         a[:, dead] = 0.0
     x0 = np.concatenate([np.eye(n), np.zeros((1, n)),
                          rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
-    for tol, max_iter in ((0.0, 30), (BOYD_TOL, 300)):
-        vals, xs, passes, converged = _power_iterate(a, p, x0, tol, max_iter)
+    for tol, max_iter, extrapolate in ((0.0, 30, False), (BOYD_TOL, 300, False),
+                                       (0.0, 300, True)):
+        vals, xs, passes, converged = _power_iterate(a, p, x0, tol, max_iter, extrapolate)
         for j in range(len(x0)):
-            alone = _power_iterate(a, p, x0[[j]], tol, max_iter)
+            alone = _power_iterate(a, p, x0[[j]], tol, max_iter, extrapolate)
             assert vals[j] == alone[0][0]
             assert np.array_equal(xs[j], alone[1][0])
             assert passes[j] == alone[2][0] and converged[j] == alone[3][0]
@@ -251,6 +253,63 @@ def test_lower_bound_runs_past_300_passes_on_a_flat_maximum(p):
     assert est.lower >= capped.max()
     ray = vector_norm(a @ est.witness, ctx) / vector_norm(est.witness, ctx)
     assert ray == pytest.approx(est.lower, abs=1e-12)
+
+
+def test_continuation_extrapolates_along_a_flat_maximum(monkeypatch):
+    # an element of the group algebra of Z7 whose plain continuation at p = 3
+    # runs all BOYD_MAX_ITER passes and still rises; the extrapolated one ends
+    # higher after 1,198 passes in all
+    rng = np.random.default_rng(310)
+    a = _circulant(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    ctx = ctx_for((1.0,) * 7, 3.0)
+    est = pnorm_estimate(a, ctx, starts=4)
+    continuations = []
+
+    def plain_run(a, p, x0, tol, max_iter, extrapolate=False):
+        out = _power_iterate(a, p, x0, tol, max_iter)
+        if np.iscomplexobj(a) and len(x0) == 1:
+            continuations.append(out[2][0])
+        return out
+
+    monkeypatch.setattr(pnorm, "_power_iterate", plain_run)
+    plain = pnorm_estimate(a, ctx, starts=4)
+    assert continuations == [BOYD_MAX_ITER]
+    assert est.lower >= plain.lower
+    assert est.iterations < plain.iterations / 5
+    ray = vector_norm(a @ est.witness, ctx) / vector_norm(est.witness, ctx)
+    assert ray == pytest.approx(est.lower, abs=1e-12)
+
+
+def _group_element(group, coeffs):
+    """sum_g coeffs[g] L_g on l^p(G): the left translation L_g sends atom h to g h."""
+    m = np.zeros((group.order, group.order), dtype=complex)
+    for g, c in enumerate(coeffs):
+        m[list(group.table[g]), range(group.order)] += c
+    return m
+
+
+SMALL_GROUPS = [g for _, g in zoo() if 2 <= g.order <= 8]
+
+
+@given(st.integers(0, 2**16), st.sampled_from(SMALL_GROUPS), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
+@settings(max_examples=25)
+def test_extrapolated_continuation_keeps_the_plain_value(seed, group, p):
+    # from where the continuation starts, the best row of the 30-pass block,
+    # the extrapolated run ends no lower than its start or than the plain run
+    rng = np.random.default_rng(seed)
+    n = group.order
+    a = _group_element(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    draws = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    vals, xs, _, _ = _power_iterate(a, p, np.concatenate([np.eye(n), draws]), 0.0, 30)
+    x0 = xs[[int(np.argmax(vals))]]
+    start = _power_iterate(a, p, x0, 0.0, 0)[0][0]
+    tol = 1e-15 * start
+    plain, _, _, _ = _power_iterate(a, p, x0, tol, BOYD_MAX_ITER)
+    val, x, _, _ = _power_iterate(a, p, x0, tol, BOYD_MAX_ITER, extrapolate=True)
+    assert val[0] >= start
+    assert val[0] >= plain[0] * (1.0 - 1e-12)
+    assert _unweighted_norm(a @ x[0], p) / _unweighted_norm(x[0], p) == pytest.approx(
+        val[0], rel=1e-12)
 
 
 @given(st.integers(0, 2**16), st.integers(2, 6), st.sampled_from([1.2, 1.5, 3.0, 4.0]))
