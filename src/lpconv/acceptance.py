@@ -307,7 +307,8 @@ def _commutant_constraints(group: FiniteGroup) -> list[list[Fraction]]:
 
 def criterion_7(seed: int) -> CriterionResult:
     """Exact rational check: the orbit basis against the rational nullspace of
-    the commutant constraints, its dimension and span equality for the zoo."""
+    the commutant constraints, its dimension, and its equality with the set of
+    left translations as 0/1 matrices, for the zoo."""
     failures = []
     for name, g in zoo():
         n = g.order
@@ -318,18 +319,14 @@ def criterion_7(seed: int) -> CriterionResult:
         if len(cv) != n:
             failures.append(f"{name}: commutant dimension {len(cv)}")
             continue
-        lam_rows = []
+        translations = set()
         for s in range(n):
-            mat = [[Fraction(0)] * n for _ in range(n)]
+            mat = [[0] * n for _ in range(n)]
             for y in range(n):
-                mat[g.mul(s, y)][y] = Fraction(1)
-            lam_rows.append(_flatten_exact(mat))
-        cv_rows = [_flatten_exact(m) for m in cv]
-        _, pivots_cv = _rational_rref(cv_rows)
-        _, pivots_lam = _rational_rref(lam_rows)
-        _, pivots_all = _rational_rref(cv_rows + lam_rows)
-        if not (len(pivots_cv) == len(pivots_lam) == len(pivots_all) == n):
-            failures.append(f"{name}: spans differ")
+                mat[g.mul(s, y)][y] = 1
+            translations.add(tuple(map(tuple, mat)))
+        if set(cv) != translations:
+            failures.append(f"{name}: orbit basis is not the left translations")
     return CriterionResult(7, "commutant equals translation span, exactly",
                            not failures,
                            {"groups": len(zoo()), "failures": failures})

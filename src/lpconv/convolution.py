@@ -4,9 +4,10 @@ With counting measure as the invariant measure, left and right translation
 act as 0/1 permutation matrices, the span of the left translations is an
 algebra of dimension |G|, and the commutant of the right translations (the
 exact 0/1 indicators of the orbits of G acting diagonally on the right of
-G x G) recovers the same span. Away from exponent 2 the invertible
-isometries inside such a span are generalized permutation matrices with
-unimodular entries, enumerated here by a support pattern search.
+G x G, each labelled by the value of x y^-1 on its cells (x, y)) recovers
+the same span. Away from exponent 2 the invertible isometries inside such
+a span are generalized permutation matrices with unimodular entries,
+enumerated here by a support pattern search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
-from .groups import FiniteGroup, generating_sequence
+from .groups import FiniteGroup
 from .isometry import LpContext, Operator
 from .measure import FiniteMeasureAlgebra
 
@@ -37,12 +38,8 @@ class ConvolutionContext:
         if not (1.0 < self.p < math.inf):
             raise POutOfRange("convolution contexts need p strictly between 1 and infinity")
 
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return (1.0,) * self.group.order
-
     def lp_context(self) -> LpContext:
-        return LpContext(FiniteMeasureAlgebra(self.weights), self.p)
+        return LpContext(FiniteMeasureAlgebra((1.0,) * self.group.order), self.p)
 
 
 def left_regular(ctx: ConvolutionContext, s: int) -> Operator:
@@ -182,59 +179,36 @@ def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
 def convolver_basis_exact(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Exact 0/1 basis of the commutant of the right translations.
 
-    Each constraint X[x, y t^-1] = X[x t, y] of X R_t = R_t X, over a
-    generating set, equates two cells, so the commutant is spanned by the
-    indicator matrices of the orbits of the diagonal right action on
-    G x G. The orbits come from a union-find over the n^2 cells, with no
-    arithmetic, and are ordered by their largest cell index x*n + y (the
-    free column of the constraint system's reduced row echelon form).
-    Returned as row-major nested tuples of 0/1 integers.
+    X R_t = R_t X for every t says X[x t, y t] = X[x, y], so the commutant
+    is spanned by the indicator matrices of the orbits of the diagonal right
+    action on G x G, and the orbit of a cell (x, y) is labelled by x y^-1:
+    orbit s holds the cells (s y, y), the left translation by s. Orbits are
+    ordered by their largest cell index x*n + y (the free column of the
+    constraint system's reduced row echelon form). Orbit s meets the last
+    row once, at column s^-1 (n - 1), and that cell is its largest, so
+    position j holds s = (n - 1) j^-1. Returned as row-major nested tuples
+    of 0/1 integers.
     """
     n = group.order
-    gens = generating_sequence(group) or [group.identity]
-    parent = list(range(n * n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for t in gens:
-        t_inv = group.inv(t)
-        for x in range(n):
-            xt = group.mul(x, t)
-            for y in range(n):
-                a = find(x * n + group.mul(y, t_inv))
-                b = find(xt * n + y)
-                if a != b:
-                    # the root of an orbit stays its largest cell
-                    parent[min(a, b)] = max(a, b)
-    orbits: dict[int, list[int]] = {}
-    for c in range(n * n):
-        orbits.setdefault(find(c), []).append(c)
     basis = []
-    for root in sorted(orbits):
-        flat = [0] * (n * n)
-        for c in orbits[root]:
-            flat[c] = 1
-        basis.append(tuple(tuple(flat[x * n:(x + 1) * n]) for x in range(n)))
+    for j in range(n):
+        row = group.table[group.mul(n - 1, group.inv(j))]
+        mat = [[0] * n for _ in range(n)]
+        for y in range(n):
+            mat[row[y]][y] = 1
+        basis.append(tuple(map(tuple, mat)))
     return tuple(basis)
 
 
 def convolver_algebra(ctx: ConvolutionContext) -> AlgebraBasis:
     """The commutant of the right translations as a concrete basis.
 
-    Computed from the exact orbit partition of convolver_basis_exact; each
-    orbit indicator is a left translation, so the dimension is the group
-    order and the span coincides with the left translations.
+    Computed from the exact orbit indicators of convolver_basis_exact; each
+    is a left translation, so the span coincides with the left translations
+    and its dimension is the group order.
     """
-    exact = convolver_basis_exact(ctx.group)
-    n = ctx.group.order
-    if len(exact) != n:
-        raise AssertionError(f"commutant dimension {len(exact)} != group order {n}")
-    mats = tuple(np.array(mat, dtype=complex) for mat in exact)
-    return AlgebraBasis(n, ctx.p, mats)
+    mats = tuple(np.array(mat, dtype=complex) for mat in convolver_basis_exact(ctx.group))
+    return AlgebraBasis(ctx.group.order, ctx.p, mats)
 
 
 @dataclass(frozen=True)
@@ -256,10 +230,10 @@ class PhasedPermutation:
         object.__setattr__(self, "phases", tuple(complex(z) for z in self.phases))
 
 
-def _left_nullspace(a: np.ndarray, tol: float) -> np.ndarray:
+def _left_nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows c with c @ a = 0."""
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > ENUM_TOL))
     return u[:, rank:].conj().T
 
 
@@ -275,8 +249,6 @@ class _PatternSearch:
     def __init__(self, b0: np.ndarray, n: int):
         self.b0 = b0
         self.n = n
-        self.node_budget = ENUM_NODE_BUDGET
-        self.tol = ENUM_TOL
         self.used = [False] * n
         self.pattern: list[int] = []
         self.found: list[PhasedPermutation] = []
@@ -284,11 +256,11 @@ class _PatternSearch:
 
     def _count(self, k: int) -> None:
         self.nodes += k
-        if self.nodes > self.node_budget:
+        if self.nodes > ENUM_NODE_BUDGET:
             raise BudgetError("pattern search exceeded its node budget")
 
     def descend(self, c: np.ndarray) -> None:
-        n, tol, used, pattern = self.n, self.tol, self.used, self.pattern
+        n, used, pattern = self.n, self.used, self.pattern
         y = len(pattern)
         if y == n:
             self._finalize(c, pattern)
@@ -302,10 +274,10 @@ class _PatternSearch:
                 continue
             self._count(1)
             others = np.delete(acol, x, axis=1)
-            nmat = _left_nullspace(others, tol)
+            nmat = _left_nullspace(others)
             if nmat.shape[0] == 0:
                 continue
-            if np.max(np.abs(nmat @ acol[:, x])) <= tol:
+            if np.max(np.abs(nmat @ acol[:, x])) <= ENUM_TOL:
                 continue
             used[x] = True
             pattern.append(x)
@@ -318,19 +290,19 @@ class _PatternSearch:
 
         A one-dimensional slice is a single matrix M up to scale, so its
         subtree is one path: column y continues it exactly when the largest
-        entry of M[:, y] sits in a free row with modulus above tol and the
-        rest of the column has 2-norm at most tol (the rank-0 test a
+        entry of M[:, y] sits in a free row with modulus above ENUM_TOL and the
+        rest of the column has 2-norm at most ENUM_TOL (the rank-0 test a
         per-candidate nullspace would make). Each level visited counts its
         n - y free rows as nodes, up to and including the first failing one.
         """
-        n, tol = self.n, self.tol
+        n = self.n
         y0 = len(self.pattern)
         mod = np.abs((c[0] @ self.b0).reshape(n, n)[:, y0:])
         levels = np.arange(n - y0)
         rows = np.argmax(mod, axis=0)
         peak = mod[rows, levels]
         mod[rows, levels] = 0.0
-        ok = ((peak > tol) & (np.linalg.norm(mod, axis=0) <= tol)).tolist()
+        ok = ((peak > ENUM_TOL) & (np.linalg.norm(mod, axis=0) <= ENUM_TOL)).tolist()
         used = list(self.used)
         pattern = list(self.pattern)
         for j, x in enumerate(rows.tolist()):
@@ -342,15 +314,15 @@ class _PatternSearch:
         self._finalize(c, pattern)
 
     def _finalize(self, c: np.ndarray, pattern: list[int]) -> None:
-        n, tol = self.n, self.tol
+        n = self.n
         d = c.shape[0]
         coords = np.stack([c @ self.b0[:, pattern[y] * n + y] for y in range(n)], axis=1)
         if d == 1:
             vec = coords[0]
             moduli = np.abs(vec)
-            if moduli.min() <= tol:
+            if moduli.min() <= ENUM_TOL:
                 return
-            if (moduli.max() - moduli.min()) / moduli.max() > tol:
+            if (moduli.max() - moduli.min()) / moduli.max() > ENUM_TOL:
                 return
             phases = vec / moduli
             phases = phases / phases[0]

@@ -56,12 +56,8 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        e = self.identity
-        row = self.table[a]
-        for b in range(self.order):
-            if row[b] == e and self.table[b][a] == e:
-                return b
-        raise AssertionError("validated group lost its inverses")
+        # the right inverse is two-sided, as __post_init__ shows
+        return self.table[a].index(self.identity)
 
     def element_order(self, a: int) -> int:
         e = self.identity

@@ -99,6 +99,10 @@ def decide_isomorphism(basis_a: AlgebraBasis, p: float,
     Isomorphic: equal exponents and isomorphic recovered groups.
     AntiIsomorphic: conjugate exponents (q = p / (p - 1)) and isomorphic
     recovered groups, matching the transpose duality of the algebras.
+    Isomorphic also when both recovered groups are trivial and the exponents
+    are neither equal nor conjugate: both algebras are then C acting on C^1,
+    normed by the modulus at every exponent, so the identity map is an
+    isometric isomorphism.
     Distinct otherwise; the recovered groups ride along as evidence.
     """
     for exponent in (p, q):
@@ -113,6 +117,8 @@ def decide_isomorphism(basis_a: AlgebraBasis, p: float,
         verdict = "Isomorphic"
     elif witness is not None and abs(q - p / (p - 1.0)) <= P_MATCH_TOL:
         verdict = "AntiIsomorphic"
+    elif witness is not None and rec_a.group.order == 1:
+        verdict = "Isomorphic"
     else:
         verdict = "Distinct"
         witness = None

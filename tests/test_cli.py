@@ -416,6 +416,43 @@ def test_cli_fuzz_ends_in_json(data):
     _strict_json(out.getvalue())
 
 
+# every flag some leaf takes, and values of the wrong type, negative, huge or not a number
+_FLAGS = ["--p", "--starts", "--seed", "--tol", "--perm", "--criteria"]
+_BAD_VALUES = ["abc", "", "-1", "-2.5", "0", "1" + "0" * 40, "1e400", "nan", "inf", "-inf",
+               "1,0", "3"]
+# suite run takes seconds per call; the other leaves take milliseconds
+_FUZZED_LEAVES = sorted(leaf for leaf in _LEAVES if leaf != ("suite", "run"))
+
+
+@pytest.fixture(scope="module")
+def payload_files(tmp_path_factory):
+    # no fuzzed command writes a file, so the examples can share one set
+    return _payload_files(tmp_path_factory.mktemp("payloads"))
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_argv_fuzz_ends_in_json(payload_files, data):
+    # a valid invocation with tokens dropped, flags of any leaf inserted and
+    # tokens replaced by bad values: one JSON document and a documented exit code
+    leaf = data.draw(st.sampled_from(_FUZZED_LEAVES))
+    argv = [*leaf, *(payload_files.get(a, a) for a in _LEAVES[leaf])]
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["drop", "flag", "value"]))
+        i = data.draw(st.integers(0, len(argv)))
+        if action == "flag":
+            argv[i:i] = [data.draw(st.sampled_from(_FLAGS)), data.draw(st.sampled_from(_BAD_VALUES))]
+        elif argv:
+            i = min(i, len(argv) - 1)
+            bad = [] if action == "drop" else [data.draw(st.sampled_from(_BAD_VALUES))]
+            argv[i:i + 1] = bad
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in range(5)
+    _strict_json(out.getvalue())
+
+
 def test_non_finite_results_end_in_json_errors(capsys, tmp_path):
     # |x|^p overflows at this exponent: the sandwich is not finite
     path = write_json(tmp_path / "op.json", _operator_payload(

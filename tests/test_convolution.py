@@ -5,14 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lpconv import convolution
+from lpconv import acceptance, convolution
 from lpconv.convolution import (ENUM_TOL, AlgebraBasis, ConvolutionContext,
                                 PhasedPermutation, _check_closure_by_pairs,
                                 _closed_by_two_generators, _PatternSearch,
                                 convolver_algebra, convolver_basis_exact,
                                 left_regular, unitary_group_enumerate)
 from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
-from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product,
+from lpconv.groups import (FiniteGroup, make_cyclic, make_dihedral, make_direct_product,
                            make_quaternion, make_symmetric, zoo)
 
 # numerical trouble must end in a verdict or an error, not in a warning
@@ -139,6 +139,25 @@ def test_exact_commutant_is_rational_zero_one():
     values = [v for mat in exact for row in mat for v in row]
     assert all(isinstance(v, (int, Fraction)) for v in values)
     assert set(values) <= {0, 1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("group", [make_symmetric(3), make_dihedral(4), make_quaternion(),
+                                   make_direct_product(make_cyclic(2), make_cyclic(4))],
+                         ids=["S3", "D4", "Q8", "Z2xZ4"])
+def test_exact_commutant_matches_the_rational_nullspace_off_identity_zero(group, seed):
+    # criterion 7 sees only zoo tables, whose identity is element 0
+    n = group.order
+    rng = np.random.default_rng(seed)
+    sigma = rng.permutation(n)
+    while sigma[group.identity] == 0:
+        sigma = rng.permutation(n)
+    table = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        table[sigma[a]][sigma[b]] = int(sigma[group.mul(a, b)])
+    h = FiniteGroup(n, tuple(map(tuple, table)), int(sigma[group.identity]))
+    oracle = acceptance._rational_nullspace(acceptance._commutant_constraints(h), n * n)
+    assert [[v for row in mat for v in row] for mat in convolver_basis_exact(h)] == oracle
 
 
 def test_convolver_of_s4_is_spanned_by_left_translations():

@@ -306,6 +306,21 @@ def test_decide_antiisomorphic_for_conjugate_exponents():
     assert swapped.verdict == "AntiIsomorphic"
 
 
+@pytest.mark.parametrize("p, q", [(3.0, 4.0), (1.2, 3.0)])
+def test_decide_trivial_groups_are_isomorphic_at_unrelated_exponents(p, q):
+    # both algebras are C acting on C^1, normed by the modulus at every exponent
+    g = make_cyclic(1)
+    verdict = decide_isomorphism(convolver_algebra(ConvolutionContext(g, p)), p,
+                                 convolver_algebra(ConvolutionContext(g, q)), q)
+    assert verdict.verdict == "Isomorphic"
+    assert verdict.witness is not None and verdict.witness.mapping == (0,)
+    # a nontrivial group at the same exponents stays Distinct
+    z2 = make_cyclic(2)
+    verdict = decide_isomorphism(convolver_algebra(ConvolutionContext(z2, p)), p,
+                                 convolver_algebra(ConvolutionContext(z2, q)), q)
+    assert verdict.verdict == "Distinct" and verdict.witness is None
+
+
 def test_decide_rejects_p2():
     g = make_cyclic(2)
     cv = convolver_algebra(ConvolutionContext(g, 3.0))
