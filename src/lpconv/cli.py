@@ -90,6 +90,26 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _parse_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if order < 1:
+        raise argparse.ArgumentTypeError(f"takes an integer of at least 1, got {text!r}")
+    return order
+
+
+def _parse_p(text: str) -> float:
+    try:
+        p = float(text)
+    except ValueError:  # argparse's own wording for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 1 < p < float("inf"):  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"takes a finite number above 1, got {text!r}")
+    return p
+
+
 def _parse_tol(text: str) -> float:
     try:
         tol = float(text)
@@ -245,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     for family, fn in (("cyclic", make_cyclic), ("dihedral", make_dihedral),
                        ("symmetric", make_symmetric)):
         p = leaf(make, family, _cmd_make_order)
-        p.add_argument("order", type=int)
+        p.add_argument("order", type=_parse_order)
         p.set_defaults(make=fn)
     leaf(make, "quaternion", _cmd_make_quaternion)
     leaf(make, "product", _cmd_make_product, "a", "b")
@@ -262,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(isom, "distance", _cmd_isom_distance, "a", "b", seed=seed)
 
     leaf(commands, "norm", _cmd_norm, "file", help="certified operator norm sandwich",
-         p={"type": float}, starts={"type": int, "default": 8}, seed=seed)
+         p={"type": _parse_p}, starts={"type": int, "default": 8}, seed=seed)
 
     algebra = actions("algebra", "build algebras and list isometries")
-    leaf(algebra, "build", _cmd_algebra_build, "file", p={"type": float, "default": 3.0})
+    leaf(algebra, "build", _cmd_algebra_build, "file", p={"type": _parse_p, "default": 3.0})
     leaf(algebra, "unitaries", _cmd_algebra_unitaries, "file")
 
     leaf(commands, "recover", _cmd_recover, "file", help="recover a group from an algebra")

@@ -58,9 +58,10 @@ def left_regular(ctx: ConvolutionContext, s: int) -> Operator:
 class AlgebraBasis:
     """Linearly independent matrices whose span is unital and closed under products.
 
-    Validation keeps the SVD u diag(s) vh of the stacked, flattened matrices:
-    the rows of vh are an orthonormal frame of the span, which membership
-    tests and the isometry search read instead of factoring the stack again.
+    Validation keeps an SVD u diag(s) vh of the stacked, flattened matrices,
+    built by _frame from their k x k Gram matrix: the rows of vh are an
+    orthonormal frame of the span, which membership tests and the isometry
+    search read instead of factoring the stack again.
     """
 
     n: int
@@ -81,7 +82,7 @@ class AlgebraBasis:
         stacked = np.array(mats, dtype=complex)
         stacked.setflags(write=False)
         object.__setattr__(self, "elements", tuple(stacked))
-        u, s, vh = np.linalg.svd(stacked.reshape(k, -1), full_matrices=False)
+        u, s, vh = _frame(stacked.reshape(k, -1))
         if len(s) < k or s[-1] <= 1e-9 * s[0]:
             raise ValueError("basis matrices are linearly dependent")
         object.__setattr__(self, "_u", u)
@@ -110,6 +111,31 @@ class AlgebraBasis:
         if resid >= 1e-9 * max(1.0, float(np.max(np.abs(target)))):
             return None
         return self._u.conj() @ (on_frame / self._s)
+
+
+def _frame(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An SVD u diag(s) vh of the k x N stack, with orthonormal rows in vh.
+
+    Two orthonormalisation passes on the k x k Gram matrix (CholeskyQR2:
+    Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014, with eigh in place
+    of Cholesky, so a singular Gram cannot raise) write flat = r q with
+    orthonormal rows q; the SVD of the small factor r then gives u, s and
+    vh = (right factor of r) q. A Gram whose eigenvalue ratio is at or below
+    1e-12 (condition 1e6 or more on the stack), or that overflows, cannot
+    certify the 1e-9 rank verdict, and the stack goes to np.linalg.svd.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow only routes to the SVD
+        gram = flat @ flat.conj().T
+    if np.all(np.isfinite(gram)):
+        lam, w = np.linalg.eigh(gram)
+        if lam[0] > 1e-12 * lam[-1]:
+            root = np.sqrt(lam)
+            q = (w.conj().T / root[:, None]) @ flat  # flat = (w diag(root)) q
+            lam2, w2 = np.linalg.eigh(q @ q.conj().T)
+            root2 = np.sqrt(lam2)
+            u, s, vr = np.linalg.svd((w * root) @ (w2 * root2))
+            return u, s, (vr @ (w2.conj().T / root2[:, None])) @ q
+    return np.linalg.svd(flat, full_matrices=False)
 
 
 def _check_closure_by_pairs(stacked: np.ndarray, vh: np.ndarray) -> None:
@@ -263,15 +289,27 @@ class _PatternSearch:
         n, used, pattern = self.n, self.used, self.pattern
         y = len(pattern)
         if y == n:
-            self._finalize(c, pattern)
+            cells = np.array(pattern) * n + np.arange(n)
+            self._finalize(c @ self.b0[:, cells], pattern)
             return
         if c.shape[0] == 1:
-            self._follow_line(c)
+            self._follow_line(c, [pattern])
             return
         acol = c @ self.b0[:, y::n]  # coordinates of column y (cells x*n + y) on the slice
-        for x in range(n):
-            if used[x]:
-                continue
+        free = [x for x in range(n) if not used[x]]
+        if acol.shape[0] == n:
+            u, s, vh = np.linalg.svd(acol)
+            if s[-1] > 2 * ENUM_TOL:
+                # every candidate's nullspace is the line through row x of
+                # acol^-1 (interlacing keeps the rest of the column at rank
+                # n - 1), and its pivot 1/|row| is at least s[-1]: every
+                # free row has a one-row child, read off one inverse
+                rows = ((vh.conj().T / s) @ u.conj().T)[free]
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+                self._count(len(free))
+                self._follow_line(rows @ c, [pattern + [x] for x in free])
+                return
+        for x in free:
             self._count(1)
             others = np.delete(acol, x, axis=1)
             nmat = _left_nullspace(others)
@@ -285,38 +323,48 @@ class _PatternSearch:
             used[x] = False
             pattern.pop()
 
-    def _follow_line(self, c: np.ndarray) -> None:
-        """Read the rest of the pattern off a one-row slice in one pass.
+    def _follow_line(self, cs: np.ndarray, patterns: list[list[int]]) -> None:
+        """Read the rest of the pattern off each one-row slice of a block.
 
-        A one-dimensional slice is a single matrix M up to scale, so its
-        subtree is one path: column y continues it exactly when the largest
-        entry of M[:, y] sits in a free row with modulus above ENUM_TOL and the
-        rest of the column has 2-norm at most ENUM_TOL (the rank-0 test a
-        per-candidate nullspace would make). Each level visited counts its
-        n - y free rows as nodes, up to and including the first failing one.
+        Row i of cs is a one-row slice whose first columns are patterns[i];
+        every pattern has the same length y0. A one-dimensional slice is a
+        single matrix M up to scale, so its subtree is one path: column y
+        continues it exactly when the largest entry of M[:, y] sits in a free
+        row with modulus above ENUM_TOL and the rest of the column has
+        2-norm at most ENUM_TOL (the rank-0 test a per-candidate nullspace
+        would make). Each level visited counts its n - y free rows as nodes,
+        up to and including the first failing one. The whole block is
+        multiplied by the frame once, and every pattern is read from that
+        product.
         """
         n = self.n
-        y0 = len(self.pattern)
-        mod = np.abs((c[0] @ self.b0).reshape(n, n)[:, y0:])
-        levels = np.arange(n - y0)
-        rows = np.argmax(mod, axis=0)
-        peak = mod[rows, levels]
-        mod[rows, levels] = 0.0
-        ok = ((peak > ENUM_TOL) & (np.linalg.norm(mod, axis=0) <= ENUM_TOL)).tolist()
-        used = list(self.used)
-        pattern = list(self.pattern)
-        for j, x in enumerate(rows.tolist()):
-            self._count(n - y0 - j)
-            if not ok[j] or used[x]:
-                return
-            used[x] = True
-            pattern.append(x)
-        self._finalize(c, pattern)
+        y0 = len(patterns[0])
+        mats = (cs @ self.b0).reshape(-1, n, n)
+        mod = np.abs(mats[:, :, y0:])
+        rows = np.argmax(mod, axis=1)
+        peak = np.take_along_axis(mod, rows[:, None, :], axis=1)[:, 0]
+        np.put_along_axis(mod, rows[:, None, :], 0.0, axis=1)
+        ok = ((peak > ENUM_TOL) & (np.linalg.norm(mod, axis=1) <= ENUM_TOL)).tolist()
+        for mat, head, tail, fine in zip(mats, patterns, rows.tolist(), ok):
+            pattern = list(head)
+            used = set(pattern)
+            visited = len(tail)
+            for j, x in enumerate(tail):
+                if not fine[j] or x in used:
+                    visited = j + 1
+                    break
+                used.add(x)
+                pattern.append(x)
+            # level j counts its n - y0 - j free rows
+            self._count(visited * (n - y0) - visited * (visited - 1) // 2)
+            if len(pattern) == n:
+                self._finalize(mat[pattern, np.arange(n)][None, :], pattern)
 
-    def _finalize(self, c: np.ndarray, pattern: list[int]) -> None:
+    def _finalize(self, coords: np.ndarray, pattern: list[int]) -> None:
+        """Record the class of a complete pattern from its slice's entries:
+        coords[i, y] is matrix i of the slice at cell (pattern[y], y)."""
         n = self.n
-        d = c.shape[0]
-        coords = np.stack([c @ self.b0[:, pattern[y] * n + y] for y in range(n)], axis=1)
+        d = coords.shape[0]
         if d == 1:
             vec = coords[0]
             moduli = np.abs(vec)
@@ -341,10 +389,14 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermut
     Away from exponent 2 the invertible isometries of an unweighted atom
     space are exactly the generalized permutation matrices with unimodular
     entries, so the search walks support patterns column by column while
-    restricting the span to matrices vanishing off the pattern. A pattern
-    whose feasible slice is one-dimensional yields at most one class, and
-    the slice's single matrix fixes the rest of the pattern, which is read
-    off it in one pass; a slice of full dimension n yields the whole phase
+    restricting the span to matrices vanishing off the pattern. Where a
+    slice's coordinate block for the next column is square and well
+    conditioned (the root of every group algebra), one SVD of the block
+    gives every child; elsewhere each candidate row takes its own
+    nullspace. A pattern whose feasible slice is one-dimensional yields at
+    most one class, and the slice's single matrix fixes the rest of the
+    pattern, which is read off it in one pass, sibling slices in one block
+    product with the frame; a slice of full dimension n yields the whole phase
     torus (reported with phase_dim = n - 1); an intermediate dimension
     would not produce a discrete class set and raises NotGroupLike.
     """

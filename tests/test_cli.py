@@ -146,6 +146,15 @@ _IDENTITY_OPERATOR = _operator_payload(_pairs(np.eye(2)))
     (["isom", "decompose", "FILE", "--tol", "-1"], _IDENTITY_OPERATOR, 2),
     (["isom", "decompose", "FILE", "--tol", "nan"], _IDENTITY_OPERATOR, 2),
     (["isom", "decompose", "FILE", "--tol", "inf"], _IDENTITY_OPERATOR, 2),
+    (["group", "make", "cyclic", "0"], None, 2),
+    (["group", "make", "symmetric", "-1"], None, 2),
+    (["group", "make", "dihedral", "2.5"], None, 2),
+    (["norm", "FILE", "--p", "0"], _VALID_OPERATOR, 2),
+    (["norm", "FILE", "--p", "1"], _VALID_OPERATOR, 2),
+    (["norm", "FILE", "--p", "nan"], _VALID_OPERATOR, 2),
+    (["algebra", "build", "FILE", "--p", "1e400"], {"order": 1, "table": [[0]], "identity": 0},
+     2),
+    (["algebra", "build", "FILE", "--p", "abc"], {"order": 1, "table": [[0]], "identity": 0}, 2),
 ], ids=["norm-nan", "norm-ragged", "recover-nan", "criteria-not-a-number",
         "criteria-out-of-range", "cyclic-no-order", "cyclic-bad-order",
         "unknown-family", "cyclic-over-budget", "group-iso-one-file", "isom-distance-one-file",
@@ -156,7 +165,9 @@ _IDENTITY_OPERATOR = _operator_payload(_pairs(np.eye(2)))
         "order-float", "order-string", "table-entry-bool", "p-string", "entry-bool",
         "entry-string", "weight-bool", "n-string-over-cap", "norm-seed-negative",
         "demo-seed-negative", "suite-seed-negative", "tol-negative", "tol-nan",
-        "tol-infinite"])
+        "tol-infinite", "cyclic-zero-order", "symmetric-negative-order",
+        "dihedral-float-order", "norm-p-zero", "norm-p-one", "norm-p-nan", "build-p-infinite",
+        "build-p-string"])
 def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected):
     # a str payload is written as it stands: json.dumps cannot write every input
     if payload is not None:

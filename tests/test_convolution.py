@@ -8,7 +8,7 @@ import pytest
 from lpconv import acceptance, convolution
 from lpconv.convolution import (ENUM_TOL, AlgebraBasis, ConvolutionContext,
                                 PhasedPermutation, _check_closure_by_pairs,
-                                _closed_by_two_generators, _PatternSearch,
+                                _closed_by_two_generators, _frame, _PatternSearch,
                                 convolver_algebra, convolver_basis_exact,
                                 left_regular, unitary_group_enumerate)
 from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
@@ -299,6 +299,148 @@ def test_enumeration_reuses_the_basis_frame(monkeypatch):
     assert set(units) == set(reference.found)
 
 
+def _presentation(g, rng, mix=None):
+    """The left translations with atoms relabelled by a random permutation
+    and the basis mixed by mix (by default a random orthogonal matrix), as
+    a complex stack; also the relabelled support of each translation, as
+    perm tuples."""
+    n = g.order
+    sigma = rng.permutation(n)
+    lam = np.zeros((n, n, n))
+    for s in range(n):
+        for y in range(n):
+            lam[s, sigma[g.mul(s, y)], sigma[y]] = 1.0
+    if mix is None:
+        mix, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mats = np.einsum("ij,jkl->ikl", mix, lam).astype(complex)
+    supports = {tuple(int(np.argmax(lam[s][:, y])) for y in range(n)) for s in range(n)}
+    return mats, supports
+
+
+def _hidden_presentation(g, rng):
+    """_presentation's orthogonally mixed stack as a basis, and its supports."""
+    mats, supports = _presentation(g, rng)
+    return AlgebraBasis(g.order, 3.0, tuple(mats)), supports
+
+
+def _conditioned(n, rng, cond):
+    """A random real n x n matrix with singular values from 1 down to 1/cond."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, n)) @ q2
+
+
+_FRAME_GROUPS = [make_dihedral(6), make_direct_product(make_quaternion(), make_cyclic(4)),
+                 make_direct_product(make_quaternion(), make_cyclic(8))]
+
+
+def _frame_stacks():
+    """Stacks of condition number 1, near 100 (mixed by a complex Gaussian
+    matrix) and 1e7, as pytest params (condition number, stack)."""
+    stacks = []
+    for g in _FRAME_GROUPS:
+        n = g.order
+        rng = np.random.default_rng(g.order)
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for name, cond, mix in (("hidden", 1.0, None), ("gaussian", np.linalg.cond(gauss), gauss),
+                                ("condition 1e7", 1e7, _conditioned(n, rng, 1e7))):
+            stacks.append(pytest.param(cond, _presentation(g, rng, mix)[0], id=f"{name} {n}"))
+    return stacks
+
+
+@pytest.mark.parametrize("cond, stacked", _frame_stacks())
+def test_gram_frame_matches_the_svd(cond, stacked):
+    k = len(stacked)
+    flat = stacked.reshape(k, -1)
+    u, s, vh = _frame(flat)
+    ref_u, ref_s, ref_vh = np.linalg.svd(flat, full_matrices=False)
+    if cond > 1e6:
+        # the Gram cannot certify the rank verdict: the stack's own SVD, unchanged
+        assert all(np.array_equal(a, b) for a, b in zip((u, s, vh), (ref_u, ref_s, ref_vh)))
+        return
+    assert cond < 1e3
+    assert np.allclose(s, ref_s, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(vh @ vh.conj().T - np.eye(k))) < 1e-13
+    # the same span: each frame projects the other onto itself
+    assert np.max(np.abs((vh @ ref_vh.conj().T) @ ref_vh - vh)) < 1e-12
+    assert np.max(np.abs((u * s) @ vh - flat)) < 1e-12 * s[0]
+
+
+def test_gram_frame_keeps_every_verdict(monkeypatch):
+    # AlgebraBasis accepts and rejects as it does on the stack's SVD: the
+    # closure cases, and hidden presentations on both sides of the 1e-9
+    # rank bound and of the Gram's 1e6 condition bound
+    cases = [(name, np.stack([np.asarray(m, dtype=complex) for m in mats]))
+             for name, mats, _, _ in _closure_cases() if "1e200" not in name]
+    rng = np.random.default_rng(3)
+    for cond in (1e5, 1e6, 1e7, 2e8, 5e8, 2e9, 1e10):
+        g = make_dihedral(6)
+        cases.append((f"condition {cond:g}",
+                      _presentation(g, rng, _conditioned(g.order, rng, cond))[0]))
+    verdicts = [_rejection(AlgebraBasis, len(m[0]), 3.0, tuple(m)) for _, m in cases]
+    monkeypatch.setattr(convolution, "_frame",
+                        lambda flat: np.linalg.svd(flat, full_matrices=False))
+    reference = [_rejection(AlgebraBasis, len(m[0]), 3.0, tuple(m)) for _, m in cases]
+    assert verdicts == reference
+    verdict = dict(zip((name for name, _ in cases), reference))
+    assert verdict["condition 1e+07"] is None
+    # past condition 1e8 the frame no longer certifies the identity to 1e-9
+    assert verdict["condition 5e+08"] == "the span must contain the identity"
+    assert verdict["condition 2e+09"] == "basis matrices are linearly dependent"
+
+
+@pytest.mark.parametrize("group", _FRAME_GROUPS, ids=["D6", "Q8xZ4", "Q8xZ8"])
+def test_two_generator_route_accepts_on_the_gram_frame(group):
+    for seed in range(3):
+        stacked, _ = _presentation(group, np.random.default_rng(seed))
+        flat = stacked.reshape(len(stacked), -1)
+        assert _closed_by_two_generators(stacked, *np.linalg.svd(flat, full_matrices=False))
+        assert _closed_by_two_generators(stacked, *_frame(flat))
+
+
+def _count_factorizations(monkeypatch):
+    """Record every np.linalg.svd and np.linalg.inv call, and every
+    per-candidate nullspace, made from here on."""
+    calls = {"factor": 0, "nullspace": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, "factor"))
+    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv, "factor"))
+    monkeypatch.setattr(convolution, "_left_nullspace",
+                        counting(convolution._left_nullspace, "nullspace"))
+    return calls
+
+
+@pytest.mark.parametrize("group", _FRAME_GROUPS, ids=["D6", "Q8xZ4", "Q8xZ8"])
+def test_enumeration_factors_the_root_once(monkeypatch, group):
+    basis, supports = _hidden_presentation(group, np.random.default_rng(group.order))
+    calls = _count_factorizations(monkeypatch)
+    units = unitary_group_enumerate(basis, 3.0)
+    assert calls == {"factor": 1, "nullspace": 0}
+    assert {u.perm for u in units} == supports
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_singular_square_root_keeps_the_per_candidate_route(monkeypatch, seed):
+    # the diagonal algebra's root block is n x n with rank 1; noise of 1e-13
+    # off the diagonal (far inside every 1e-9 bound) turns its zero singular
+    # values into tiny nonzero ones, which must not be inverted
+    n = 4
+    units = np.array([_unit(n, i, i) for i in range(n)])
+    if seed is not None:
+        units += 1e-13 * np.random.default_rng(seed).standard_normal(units.shape) * (1 - np.eye(n))
+    basis = AlgebraBasis(n, 3.0, tuple(units))
+    calls = _count_factorizations(monkeypatch)
+    classes = unitary_group_enumerate(basis, 3.0)
+    assert calls["nullspace"] >= n
+    assert [(u.perm, u.phase_dim) for u in classes] == [(tuple(range(n)), n - 1)]
+
+
 def test_enumerate_two_cycle():
     basis = convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0))
     units = unitary_group_enumerate(basis, 3.0)
@@ -360,22 +502,6 @@ def test_enumerate_node_count_is_pinned(monkeypatch, group, nodes):
     monkeypatch.setattr(convolution, "ENUM_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetError):
         unitary_group_enumerate(basis, 3.0)
-
-
-def _hidden_presentation(g, rng):
-    """The left translations with atoms relabelled by a random permutation
-    and the basis mixed by a random orthogonal matrix; also the relabelled
-    support of each translation, as perm tuples."""
-    n = g.order
-    sigma = rng.permutation(n)
-    lam = np.zeros((n, n, n))
-    for s in range(n):
-        for y in range(n):
-            lam[s, sigma[g.mul(s, y)], sigma[y]] = 1.0
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    mats = np.einsum("ij,jkl->ikl", q, lam)
-    supports = {tuple(int(np.argmax(lam[s][:, y])) for y in range(n)) for s in range(n)}
-    return AlgebraBasis(n, 3.0, tuple(mats)), supports
 
 
 @pytest.mark.parametrize("group", [
