@@ -15,14 +15,13 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-# the numeric handlers import their own callees, so a group or measure
-# command, --help and a usage error start without numpy
+# every handler past the group commands imports its own callees, so a
+# command loads only the modules it runs: a group command, --help and a
+# usage error start without numpy or lpconv.measure
 from . import serialize
 from .errors import BudgetError, LpconvError
 from .groups import (is_isomorphic, make_cyclic, make_dihedral,
                      make_direct_product, make_quaternion, make_symmetric)
-from .measure import (BooleanAutomorphism, Valuation, rn_chain_rules,
-                      rn_derivative)
 from .serialize import SchemaError
 
 if TYPE_CHECKING:
@@ -129,8 +128,11 @@ def _parse_criteria(text: str) -> list[int]:
     return [int(v) for v in parts]
 
 
+_MAKERS = {"cyclic": make_cyclic, "dihedral": make_dihedral, "symmetric": make_symmetric}
+
+
 def _cmd_make_order(args) -> tuple[object, int]:
-    return serialize.group_to_json(args.make(args.order)), EXIT_OK
+    return serialize.group_to_json(_MAKERS[args.family](args.order)), EXIT_OK
 
 
 def _cmd_make_quaternion(args) -> tuple[object, int]:
@@ -150,6 +152,7 @@ def _cmd_group_iso(args) -> tuple[object, int]:
 
 
 def _cmd_measure_rnd(args) -> tuple[object, int]:
+    from .measure import Valuation, rn_derivative
     sigma_weights = serialize.weights_from_json(_load(args.sigma))
     algebra = serialize.algebra_weights_from_json(_load(args.mu))
     sigma = Valuation(algebra, sigma_weights)
@@ -157,6 +160,7 @@ def _cmd_measure_rnd(args) -> tuple[object, int]:
 
 
 def _cmd_measure_check_rn(args) -> tuple[object, int]:
+    from .measure import BooleanAutomorphism, Valuation, rn_chain_rules
     algebra = serialize.algebra_weights_from_json(_load(args.mu))
     sigma = Valuation(algebra, serialize.weights_from_json(_load(args.sigma)))
     rho = Valuation(algebra, serialize.weights_from_json(_load(args.rho)))
@@ -241,17 +245,39 @@ def _cmd_suite_run(args) -> tuple[object, int]:
     return report, EXIT_OK if report["all_passed"] else EXIT_DOMAIN
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # one subparser per leaf command: argparse refuses what its leaf does not declare
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command line parser, one subparser per leaf command: argparse
+    refuses what its leaf does not declare.
+
+    Given argv, a command whose name is not one of its words is added by
+    name and help alone: it cannot be the command parsed, and the usage
+    lines, help texts and errors that list it read as from the whole tree.
+    Membership, not position, keeps that true when an --out value names a
+    command. Without argv the whole tree is built.
+    """
+    named = None if argv is None else set(argv)
     parser = _Parser(prog="lpconv")
     parser.add_argument("--out", help="write the JSON result to this path")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    def command(parent, name, help):
+        """The parser of a command that argv names, else None; a parent of
+        None was not built, and its children are not added."""
+        if parent is None:
+            return None
+        built = named is None or name in named
+        # a command argv does not name is never parsed, so it needs no -h either
+        p = parent.add_parser(name, help=help, add_help=built)
+        return p if built else None
+
     def actions(name, help=None, dest="action", parent=commands):
-        return parent.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+        p = command(parent, name, help)
+        return None if p is None else p.add_subparsers(dest=dest, required=True)
 
     def leaf(parent, name, handler, *positionals, help=None, **flags):
-        p = parent.add_parser(name, help=help)
+        p = command(parent, name, help)
+        if p is None:
+            return None
         for positional in positionals:
             p.add_argument(positional)
         for flag, kwargs in flags.items():
@@ -262,11 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     seed = {"type": _parse_seed, "default": 0}
     group = actions("group", "construct groups and test isomorphism")
     make = actions("make", dest="family", parent=group)
-    for family, fn in (("cyclic", make_cyclic), ("dihedral", make_dihedral),
-                       ("symmetric", make_symmetric)):
+    for family in _MAKERS:
         p = leaf(make, family, _cmd_make_order)
-        p.add_argument("order", type=_parse_order)
-        p.set_defaults(make=fn)
+        if p is not None:
+            p.add_argument("order", type=_parse_order)
     leaf(make, "quaternion", _cmd_make_quaternion)
     leaf(make, "product", _cmd_make_product, "a", "b")
     leaf(group, "iso", _cmd_group_iso, "a", "b")
@@ -304,7 +329,7 @@ def _dumps(payload) -> str:
 def main(argv=None) -> int:
     out = None  # an error found while parsing goes to stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
         out = args.out
         payload, code = args.handler(args)
     except SystemExit as exc:  # --help

@@ -13,14 +13,17 @@ enumerated here by a support pattern search.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
 from .groups import FiniteGroup
-from .isometry import LpContext, Operator
-from .measure import FiniteMeasureAlgebra
+
+if TYPE_CHECKING:
+    from .isometry import LpContext, Operator
 
 ENUM_NODE_BUDGET = 200_000
 ENUM_ATOM_BUDGET = 64
@@ -39,11 +42,14 @@ class ConvolutionContext:
             raise POutOfRange("convolution contexts need p strictly between 1 and infinity")
 
     def lp_context(self) -> LpContext:
+        from .isometry import LpContext
+        from .measure import FiniteMeasureAlgebra
         return LpContext(FiniteMeasureAlgebra((1.0,) * self.group.order), self.p)
 
 
 def left_regular(ctx: ConvolutionContext, s: int) -> Operator:
     """Left translation: (L_s xi)(x) = xi(s^-1 x), a permutation matrix."""
+    from .isometry import Operator
     g = ctx.group
     n = g.order
     if not 0 <= s < n:
@@ -89,6 +95,10 @@ class AlgebraBasis:
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_vh", vh)
         if self.coordinates(np.eye(self.n)) is None:
+            cond = float(s[0] / s[-1])
+            if cond > 1e6:  # the frame's error, about eps * cond, can exceed the 1e-9 bound
+                raise ValueError(f"at condition number {cond:.3e} the frame cannot certify "
+                                 "that the span contains the identity")
             raise ValueError("the span must contain the identity")
         # the two-generator route can only accept; the pairwise check decides
         # the rest and owns the 1e-9 bound and every rejection message
@@ -159,22 +169,26 @@ def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
                               vh: np.ndarray) -> bool:
     """True when the span S is shown closed from two elements of it.
 
-    Two seeded random elements r1, r2 of S, with coefficients of modulus
-    at most one on the basis, must map S into S. That takes 2k products
-    r_i F_m with the frame matrices F_m (the rows of vh), and the residuals
-    they leave off the frame, turned into an upper bound on those of the
-    products r_i B_b with the basis (the pairwise check's units), must stay
-    under a thousandth of its 1e-9 bound. The algebra r1 and r2 generate is
-    then grown from the identity, block by block: the newest orthonormal
-    vectors are multiplied by each r_i (as k x k actions on frame
-    coordinates) and orthogonalised against those found so far. If it
-    reaches dimension k, then 1 in S and r_i S in S give alg(r1, r2) = S,
+    Two pseudo-random elements r1, r2 of S must map S into S. Their
+    coefficients on the basis are Gaussian draws from the standard
+    library's random.Random(0), scaled to modulus at most one; the proof
+    holds for any coefficients, and the standard library's generator keeps
+    numpy.random out of a process that only validates. Checking r_i S in S
+    takes 2k products r_i F_m with the frame matrices F_m (the rows of vh),
+    and the residuals they leave off the frame, turned into an upper bound
+    on those of the products r_i B_b with the basis (the pairwise check's
+    units), must stay under a thousandth of its 1e-9 bound. The algebra r1
+    and r2 generate is then grown from the identity, block by block: the
+    newest orthonormal vectors are multiplied by each r_i (as k x k actions
+    on frame coordinates) and orthogonalised against those found so far. If
+    it reaches dimension k, then 1 in S and r_i S in S give alg(r1, r2) = S,
     so S is closed. False leaves the question open: a larger residual, or
     a smaller algebra (two elements need not generate a non-semisimple one).
     """
     k, n, _ = stacked.shape
     frame = vh.reshape(k, n, n)
-    coef = np.random.default_rng(0).standard_normal((2, k))
+    rng = random.Random(0)
+    coef = np.array([[rng.gauss(0.0, 1.0) for _ in range(k)] for _ in range(2)])
     coef /= np.max(np.abs(coef), axis=1, keepdims=True)
     actions = []
     # B_b = sum_m (u s)[b, m] F_m, so a residual of r_i F_m times the largest

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import BudgetError
 from .groups import TABLE_BUDGET, FiniteGroup
-from .measure import FiniteMeasureAlgebra
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,7 +27,7 @@ if TYPE_CHECKING:
     from .convolution import AlgebraBasis, PhasedPermutation
     from .groups import GroupIso
     from .isometry import Operator
-    from .measure import MeasurableFunction
+    from .measure import FiniteMeasureAlgebra, MeasurableFunction
     from .pnorm import NormEstimate
     from .reconstruction import IsoVerdict, P2DemoReport, RecoveredGroup
 
@@ -105,6 +104,7 @@ def weights_from_json(data) -> tuple[float, ...]:
 
 
 def algebra_weights_from_json(data) -> FiniteMeasureAlgebra:
+    from .measure import FiniteMeasureAlgebra
     return FiniteMeasureAlgebra(weights_from_json(data))
 
 

@@ -185,6 +185,8 @@ def _payload_files(tmp_path):
         "ALGEBRA": write_json(tmp_path / "alg.json", serialize.algebra_basis_to_json(
             convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))),
         "OPERATOR": write_json(tmp_path / "op.json", _IDENTITY_OPERATOR),
+        # not a generalized permutation, so the norm engine draws its random starts
+        "MATRIX": write_json(tmp_path / "matrix.json", _VALID_OPERATOR),
         "WEIGHTS": write_json(tmp_path / "w.json", {"weights": [1.0, 2.0]}),
     }
 
@@ -218,7 +220,7 @@ _LEAVES = {
     ("measure", "check-rn"): ["WEIGHTS", "WEIGHTS", "WEIGHTS", "--perm", "1,0"],
     ("isom", "decompose"): ["OPERATOR", "--tol", "1e-6"],
     ("isom", "distance"): ["OPERATOR", "OPERATOR", "--seed", "1"],
-    ("norm",): ["OPERATOR", "--p", "3", "--starts", "2", "--seed", "1"],
+    ("norm",): ["MATRIX", "--p", "3", "--starts", "2", "--seed", "1"],
     ("algebra", "build"): ["GROUP", "--p", "3"],
     ("algebra", "unitaries"): ["ALGEBRA"],
     ("recover",): ["ALGEBRA"],
@@ -228,17 +230,56 @@ _LEAVES = {
 }
 
 
-def _leaf_commands(parser, prefix=()):
+def _leaf_parsers(parser, prefix=()):
+    """(command path, parser) for every parser that has no subcommands."""
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:
-        yield prefix
+        yield prefix, parser
         return
     for name, sub in subparsers[0].choices.items():
-        yield from _leaf_commands(sub, prefix + (name,))
+        yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def _handled(parser):
+    """The command paths whose parsers were built down to their handler."""
+    return {leaf for leaf, sub in _leaf_parsers(parser) if sub.get_default("handler")}
 
 
 def test_leaf_table_covers_every_command():
-    assert set(_leaf_commands(build_parser())) == set(_LEAVES)
+    assert {leaf for leaf, _ in _leaf_parsers(build_parser())} == set(_LEAVES)
+    assert _handled(build_parser()) == set(_LEAVES)
+
+
+def test_a_command_line_builds_only_the_commands_it_names():
+    assert _handled(build_parser(["group", "make", "cyclic", "3"])) == {("group", "make", "cyclic")}
+    # an --out value that names a command builds that command too, harmlessly
+    assert _handled(build_parser(["--out", "decide", "recover", "a.json"])) == {("recover",),
+                                                                                 ("decide",)}
+    assert _handled(build_parser(["--help"])) == set()
+
+
+# the top level, every intermediate command and every leaf
+_NODES = sorted({leaf[:i] for leaf in _LEAVES for i in range(len(leaf) + 1)})
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda node: " ".join(node) or "lpconv")
+def test_parsers_built_from_argv_print_what_the_whole_tree_prints(capsys, monkeypatch, node):
+    # help, a usage error, and both after an --out value that names another command
+    bad = "--no-such-flag" if node in _LEAVES else "frobnicate"
+    other = "recover" if node[:1] == ("decide",) else "decide"
+    cases = [[*node, "--help"], [*node, bad],
+             ["--out", other, *node, "--help"], ["--out", other, *node, bad]]
+
+    def printed(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    from_argv = [printed(argv) for argv in cases]
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole())
+    assert from_argv == [printed(argv) for argv in cases]
+    assert [code for code, _, _ in from_argv] == [0, 2, 0, 2]
 
 
 @pytest.mark.parametrize("leaf", sorted(_LEAVES), ids=" ".join)
@@ -259,14 +300,15 @@ import contextlib, io, json, sys
 from lpconv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-heavy = ("numpy", "lpconv.acceptance")
+heavy = ("numpy", "numpy.random", "lpconv.acceptance", "lpconv.measure", "lpconv.isometry",
+         "lpconv.pnorm")
 print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
 """
 
 
 def _cold_run(tmp_path, argv):
     """Exit code of a command run in a fresh interpreter, and the set of
-    numpy and lpconv.acceptance that it loaded."""
+    _PROBE's heavy modules that it loaded."""
     files = _payload_files(tmp_path)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -280,23 +322,28 @@ def _cold_run(tmp_path, argv):
 _LIGHT = sorted(leaf for leaf in _LEAVES if leaf[0] in ("group", "measure"))
 
 
-@pytest.mark.parametrize("argv, expected", [
-    *(([*leaf, *_LEAVES[leaf]], 0) for leaf in _LIGHT),
-    (["--help"], 0),
-    (["group", "make", "cyclic", "abc"], 2),
+@pytest.mark.parametrize("argv, expected, modules", [
+    *(([*leaf, *_LEAVES[leaf]], 0, {"lpconv.measure"} if leaf[0] == "measure" else set())
+      for leaf in _LIGHT),
+    (["--help"], 0, set()),
+    (["group", "make", "cyclic", "abc"], 2, set()),
 ], ids=[*(" ".join(leaf) for leaf in _LIGHT), "help", "usage-error"])
-def test_group_and_measure_commands_start_without_numpy(tmp_path, argv, expected):
+def test_group_and_measure_commands_start_without_numpy(tmp_path, argv, expected, modules):
     code, loaded = _cold_run(tmp_path, argv)
     assert code == expected
-    assert "numpy" not in loaded
+    assert loaded == modules
 
 
-@pytest.mark.parametrize("leaf", [("recover",), ("decide",), ("algebra", "build"), ("norm",)],
-                         ids=" ".join)
-def test_numeric_commands_leave_the_acceptance_suite_unloaded(tmp_path, leaf):
+@pytest.mark.parametrize("leaf, modules", [
+    (("recover",), {"numpy"}),
+    (("decide",), {"numpy"}),
+    (("algebra", "build"), {"numpy"}),
+    (("norm",), {"numpy", "numpy.random", "lpconv.measure", "lpconv.isometry", "lpconv.pnorm"}),
+], ids=["recover", "decide", "algebra build", "norm"])
+def test_numeric_commands_leave_the_acceptance_suite_unloaded(tmp_path, leaf, modules):
     code, loaded = _cold_run(tmp_path, [*leaf, *_LEAVES[leaf]])
     assert code == 0
-    assert loaded == {"numpy"}
+    assert loaded == modules
 
 
 @pytest.mark.parametrize("argv", [

@@ -384,8 +384,10 @@ def test_gram_frame_keeps_every_verdict(monkeypatch):
     assert verdicts == reference
     verdict = dict(zip((name for name, _ in cases), reference))
     assert verdict["condition 1e+07"] is None
-    # past condition 1e8 the frame no longer certifies the identity to 1e-9
-    assert verdict["condition 5e+08"] == "the span must contain the identity"
+    # past condition 1e8 the frame no longer certifies the identity to 1e-9,
+    # and the rejection says so rather than that the identity is missing
+    assert verdict["condition 5e+08"] == ("at condition number 5.000e+08 the frame cannot "
+                                          "certify that the span contains the identity")
     assert verdict["condition 2e+09"] == "basis matrices are linearly dependent"
 
 
