@@ -270,26 +270,31 @@ class PhasedPermutation:
         object.__setattr__(self, "phases", tuple(complex(z) for z in self.phases))
 
 
-def _left_nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal rows c with c @ a = 0."""
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > ENUM_TOL))
-    return u[:, rank:].conj().T
+def _single_rows(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each column of cols (rows on axis -2), the row of its largest
+    modulus, and whether that entry is the column's only one: modulus above
+    ENUM_TOL, and the rest of the column of 2-norm at most ENUM_TOL."""
+    mod = np.abs(cols)
+    rows = np.argmax(mod, axis=-2)
+    peak = np.take_along_axis(mod, rows[..., None, :], axis=-2)[..., 0, :]
+    np.put_along_axis(mod, rows[..., None, :], 0.0, axis=-2)
+    return rows, (peak > ENUM_TOL) & (np.linalg.norm(mod, axis=-2) <= ENUM_TOL)
 
 
 class _PatternSearch:
     """Depth-first walk over support patterns, one column per level.
 
     A node is a slice c (orthonormal rows of coordinates on b0) of the
-    span's matrices that vanish off the pattern chosen so far. The state
-    lives on the instance and the walk is a method, so a finished search
-    leaves no reference cycle behind for the garbage collector.
+    span's matrices that vanish off the pattern chosen so far. Every node
+    of dimension above one decides its children by one rule, from one SVD
+    (descend); a one-dimensional node follows its single path (_follow_line).
+    The state lives on the instance and the walk is a method, so a finished
+    search leaves no reference cycle behind for the garbage collector.
     """
 
     def __init__(self, b0: np.ndarray, n: int):
         self.b0 = b0
         self.n = n
-        self.used = [False] * n
         self.pattern: list[int] = []
         self.found: list[PhasedPermutation] = []
         self.nodes = 0
@@ -300,67 +305,72 @@ class _PatternSearch:
             raise BudgetError("pattern search exceeded its node budget")
 
     def descend(self, c: np.ndarray) -> None:
-        n, used, pattern = self.n, self.used, self.pattern
+        """Decide the children of slice c from one SVD of its block for the
+        next column y.
+
+        Let A = c b0[:, y::n] (d x n; entry (i, x) is matrix i of the slice
+        at cell (x, y)) have rank r above ENUM_TOL. The matrices of the slice
+        that vanish on column y off row x are spanned by the null rows
+        U[:, r:]^H, which vanish on the whole column, and at most one line:
+        row x of A's rank-r pseudo-inverse, normalised, kept exactly when
+        its product with A passes _single_rows in row x. The node counts its
+        free rows before any child runs. Without null rows every child is a
+        one-row slice, and they go to _follow_line as one block; otherwise
+        each child [null rows; line] c descends. Past the last column a
+        slice of dimension n is the whole phase torus (phase_dim = n - 1),
+        and any other dimension raises NotGroupLike.
+        """
+        n, pattern = self.n, self.pattern
+        d = c.shape[0]
         y = len(pattern)
         if y == n:
-            cells = np.array(pattern) * n + np.arange(n)
-            self._finalize(c @ self.b0[:, cells], pattern)
+            if d != n:
+                raise NotGroupLike(
+                    f"a support pattern carries a {d}-parameter phase family "
+                    "strictly between a scalar line and the full torus")
+            self.found.append(PhasedPermutation(tuple(pattern), (1.0 + 0j,) * n, n - 1))
             return
-        if c.shape[0] == 1:
-            self._follow_line(c, [pattern])
+        free = [x for x in range(n) if x not in pattern]
+        self._count(len(free))
+        acol = c @ self.b0[:, y::n]
+        u, s, vh = np.linalg.svd(acol)
+        r = int(np.sum(s > ENUM_TOL))
+        pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+        norm = np.linalg.norm(pinv, axis=1)
+        free = [x for x in free if norm[x] > 0]  # a zero row of pinv has no line
+        lines = pinv[free] / norm[free, None]
+        rows, ok = _single_rows((lines @ acol).T)
+        keep = [i for i, x in enumerate(free) if ok[i] and rows[i] == x]
+        if r == d:
+            self._follow_line(lines[keep] @ c, [free[i] for i in keep])
             return
-        acol = c @ self.b0[:, y::n]  # coordinates of column y (cells x*n + y) on the slice
-        free = [x for x in range(n) if not used[x]]
-        if acol.shape[0] == n:
-            u, s, vh = np.linalg.svd(acol)
-            if s[-1] > 2 * ENUM_TOL:
-                # every candidate's nullspace is the line through row x of
-                # acol^-1 (interlacing keeps the rest of the column at rank
-                # n - 1), and its pivot 1/|row| is at least s[-1]: every
-                # free row has a one-row child, read off one inverse
-                rows = ((vh.conj().T / s) @ u.conj().T)[free]
-                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-                self._count(len(free))
-                self._follow_line(rows @ c, [pattern + [x] for x in free])
-                return
-        for x in free:
-            self._count(1)
-            others = np.delete(acol, x, axis=1)
-            nmat = _left_nullspace(others)
-            if nmat.shape[0] == 0:
-                continue
-            if np.max(np.abs(nmat @ acol[:, x])) <= ENUM_TOL:
-                continue
-            used[x] = True
-            pattern.append(x)
-            self.descend(nmat @ c)
-            used[x] = False
+        null = u[:, r:].conj().T @ c
+        for i in keep:
+            pattern.append(free[i])
+            self.descend(np.concatenate([null, lines[i:i + 1] @ c]))
             pattern.pop()
 
-    def _follow_line(self, cs: np.ndarray, patterns: list[list[int]]) -> None:
-        """Read the rest of the pattern off each one-row slice of a block.
+    def _follow_line(self, cs: np.ndarray, heads: list[int]) -> None:
+        """Read the rest of the pattern, and the class, off each one-row
+        slice of a block.
 
-        Row i of cs is a one-row slice whose first columns are patterns[i];
-        every pattern has the same length y0. A one-dimensional slice is a
-        single matrix M up to scale, so its subtree is one path: column y
-        continues it exactly when the largest entry of M[:, y] sits in a free
-        row with modulus above ENUM_TOL and the rest of the column has
-        2-norm at most ENUM_TOL (the rank-0 test a per-candidate nullspace
-        would make). Each level visited counts its n - y free rows as nodes,
-        up to and including the first failing one. The whole block is
-        multiplied by the frame once, and every pattern is read from that
-        product.
+        Row i of cs is the one-row child of the current pattern through row
+        heads[i], so its first y0 columns are fixed. A one-dimensional slice
+        is a single matrix M up to scale, so its subtree is one path: column
+        y continues it exactly when _single_rows passes M[:, y] in a free
+        row, the one-row case of descend's rule. Each level visited counts
+        its n - y free rows as nodes, up to and including the first failing
+        one. A complete pattern is a class when its entries share one
+        modulus (relative spread at most ENUM_TOL), with its phases divided
+        by the first. The whole block is multiplied by the frame once, and
+        every pattern is read from that product.
         """
         n = self.n
-        y0 = len(patterns[0])
+        y0 = len(self.pattern) + 1
         mats = (cs @ self.b0).reshape(-1, n, n)
-        mod = np.abs(mats[:, :, y0:])
-        rows = np.argmax(mod, axis=1)
-        peak = np.take_along_axis(mod, rows[:, None, :], axis=1)[:, 0]
-        np.put_along_axis(mod, rows[:, None, :], 0.0, axis=1)
-        ok = ((peak > ENUM_TOL) & (np.linalg.norm(mod, axis=1) <= ENUM_TOL)).tolist()
-        for mat, head, tail, fine in zip(mats, patterns, rows.tolist(), ok):
-            pattern = list(head)
+        rows, ok = _single_rows(mats[:, :, y0:])
+        for mat, head, tail, fine in zip(mats, heads, rows.tolist(), ok.tolist()):
+            pattern = self.pattern + [head]
             used = set(pattern)
             visited = len(tail)
             for j, x in enumerate(tail):
@@ -371,30 +381,13 @@ class _PatternSearch:
                 pattern.append(x)
             # level j counts its n - y0 - j free rows
             self._count(visited * (n - y0) - visited * (visited - 1) // 2)
-            if len(pattern) == n:
-                self._finalize(mat[pattern, np.arange(n)][None, :], pattern)
-
-    def _finalize(self, coords: np.ndarray, pattern: list[int]) -> None:
-        """Record the class of a complete pattern from its slice's entries:
-        coords[i, y] is matrix i of the slice at cell (pattern[y], y)."""
-        n = self.n
-        d = coords.shape[0]
-        if d == 1:
-            vec = coords[0]
+            if len(pattern) < n:
+                continue
+            vec = mat[pattern, np.arange(n)]
             moduli = np.abs(vec)
-            if moduli.min() <= ENUM_TOL:
-                return
-            if (moduli.max() - moduli.min()) / moduli.max() > ENUM_TOL:
-                return
-            phases = vec / moduli
-            phases = phases / phases[0]
-            self.found.append(PhasedPermutation(tuple(pattern), tuple(phases), 0))
-        elif d == n:
-            self.found.append(PhasedPermutation(tuple(pattern), (1.0 + 0j,) * n, n - 1))
-        else:
-            raise NotGroupLike(
-                f"a support pattern carries a {d}-parameter phase family "
-                "strictly between a scalar line and the full torus")
+            if moduli.min() > ENUM_TOL and (moduli.max() - moduli.min()) / moduli.max() <= ENUM_TOL:
+                phases = vec / moduli
+                self.found.append(PhasedPermutation(tuple(pattern), tuple(phases / phases[0]), 0))
 
 
 def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermutation, ...]:
@@ -403,16 +396,16 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermut
     Away from exponent 2 the invertible isometries of an unweighted atom
     space are exactly the generalized permutation matrices with unimodular
     entries, so the search walks support patterns column by column while
-    restricting the span to matrices vanishing off the pattern. Where a
-    slice's coordinate block for the next column is square and well
-    conditioned (the root of every group algebra), one SVD of the block
-    gives every child; elsewhere each candidate row takes its own
-    nullspace. A pattern whose feasible slice is one-dimensional yields at
-    most one class, and the slice's single matrix fixes the rest of the
-    pattern, which is read off it in one pass, sibling slices in one block
-    product with the frame; a slice of full dimension n yields the whole phase
-    torus (reported with phase_dim = n - 1); an intermediate dimension
-    would not produce a discrete class set and raises NotGroupLike.
+    restricting the span to matrices vanishing off the pattern. Every slice
+    of dimension above one decides its children from one SVD of its
+    coordinate block for the next column (for a group algebra only the
+    root, which makes it the search's one factorisation). A pattern whose
+    feasible slice is one-dimensional yields at most one class, and the
+    slice's single matrix fixes the rest of the pattern, which is read off
+    it in one pass, sibling slices in one block product with the frame; a
+    slice of full dimension n yields the whole phase torus (reported with
+    phase_dim = n - 1); an intermediate dimension would not produce a
+    discrete class set and raises NotGroupLike.
     """
     if p == 2.0:
         raise P2Unsupported(

@@ -19,8 +19,8 @@ import numpy as np
 from .convolution import (AlgebraBasis, ConvolutionContext, PhasedPermutation,
                           convolver_algebra, left_regular,
                           unitary_group_enumerate)
-from .errors import NotGroupLike, P2Unsupported, POutOfRange
-from .groups import (FiniteGroup, GroupIso, is_isomorphic, make_cyclic,
+from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
+from .groups import (TABLE_BUDGET, FiniteGroup, GroupIso, is_isomorphic, make_cyclic,
                      make_direct_product)
 
 P_MATCH_TOL = 1e-12
@@ -35,7 +35,8 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     family was not group-like. The permutation part of a product is the
     product of the permutation parts, so the table composes those alone.
     Returns the component group with the identity permutation as element 0
-    and one representative per component.
+    and one representative per component. More than TABLE_BUDGET components
+    raise BudgetError before any product is composed.
     """
     units = list(unitaries)
     if not units:
@@ -45,6 +46,8 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     reps: dict[tuple[int, ...], PhasedPermutation] = {}
     for u in units:
         reps.setdefault(u.perm, u)
+    if len(reps) > TABLE_BUDGET:
+        raise BudgetError(f"component groups are capped at order {TABLE_BUDGET}")
     if identity not in reps:
         raise NotGroupLike("no scalar class present")
     perms = [identity] + sorted(p for p in reps if p != identity)

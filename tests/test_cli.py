@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lpconv import cli, serialize
 from lpconv.cli import build_parser, main
-from lpconv.convolution import ConvolutionContext, convolver_algebra
+from lpconv.convolution import AlgebraBasis, ConvolutionContext, convolver_algebra
 from lpconv.groups import make_cyclic, make_direct_product, make_symmetric
 from lpconv.isometry import LpContext
 from lpconv.measure import FiniteMeasureAlgebra
@@ -380,6 +380,16 @@ def test_enumeration_cap_is_checked_before_decoding(capsys, tmp_path, monkeypatc
                                {"n": 65, "p": 3.0, "basis": [[[[1.0, 0.0]]]]})}
     monkeypatch.setattr(serialize, "algebra_basis_from_json", refuse)
     code, data = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 4
+    assert data["kind"] == "budget"
+
+
+def test_recover_of_more_classes_than_the_table_budget_exits_4(capsys, tmp_path):
+    # the 6 x 6 matrix algebra has 6! = 720 isometry classes, over the
+    # 128-element cap on a component table
+    m6 = AlgebraBasis(6, 3.0, tuple(np.eye(36).reshape(36, 6, 6)))
+    path = write_json(tmp_path / "m6.json", serialize.algebra_basis_to_json(m6))
+    code, data = run(capsys, "recover", path)
     assert code == 4
     assert data["kind"] == "budget"
 

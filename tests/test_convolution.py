@@ -265,6 +265,19 @@ def test_closure_routes_agree():
             assert _closed_by_two_generators(stacked, u, s, vh) == fast, name
 
 
+def _record_searches(monkeypatch):
+    """The list of every _PatternSearch made from here on, in order."""
+    searches = []
+
+    class RecordingSearch(_PatternSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(convolution, "_PatternSearch", RecordingSearch)
+    return searches
+
+
 def test_enumeration_reuses_the_basis_frame(monkeypatch):
     group = make_direct_product(make_quaternion(), make_cyclic(4))
     basis, _ = _hidden_presentation(group, np.random.default_rng(7))
@@ -276,13 +289,7 @@ def test_enumeration_reuses_the_basis_frame(monkeypatch):
     reference = _PatternSearch(vh[:rank], n)
     reference.descend(np.eye(rank, dtype=complex))
 
-    searches, stack_svds = [], []
-
-    class RecordingSearch(_PatternSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searches.append(self)
-
+    stack_svds = []
     real_svd = np.linalg.svd
 
     def counting_svd(a, *args, **kwargs):
@@ -290,7 +297,7 @@ def test_enumeration_reuses_the_basis_frame(monkeypatch):
             stack_svds.append(a)
         return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(convolution, "_PatternSearch", RecordingSearch)
+    searches = _record_searches(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     units = unitary_group_enumerate(basis, 3.0)
     assert stack_svds == []
@@ -401,20 +408,17 @@ def test_two_generator_route_accepts_on_the_gram_frame(group):
 
 
 def _count_factorizations(monkeypatch):
-    """Record every np.linalg.svd and np.linalg.inv call, and every
-    per-candidate nullspace, made from here on."""
-    calls = {"factor": 0, "nullspace": 0}
+    """Record every np.linalg.svd and np.linalg.inv call made from here on."""
+    calls = {"factor": 0}
 
-    def counting(fn, key):
+    def counting(fn):
         def wrapped(*args, **kwargs):
-            calls[key] += 1
+            calls["factor"] += 1
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, "factor"))
-    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv, "factor"))
-    monkeypatch.setattr(convolution, "_left_nullspace",
-                        counting(convolution._left_nullspace, "nullspace"))
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
     return calls
 
 
@@ -423,12 +427,12 @@ def test_enumeration_factors_the_root_once(monkeypatch, group):
     basis, supports = _hidden_presentation(group, np.random.default_rng(group.order))
     calls = _count_factorizations(monkeypatch)
     units = unitary_group_enumerate(basis, 3.0)
-    assert calls == {"factor": 1, "nullspace": 0}
+    assert calls == {"factor": 1}
     assert {u.perm for u in units} == supports
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-def test_singular_square_root_keeps_the_per_candidate_route(monkeypatch, seed):
+def test_rank_deficient_root_factors_once_per_multi_row_node(monkeypatch, seed):
     # the diagonal algebra's root block is n x n with rank 1; noise of 1e-13
     # off the diagonal (far inside every 1e-9 bound) turns its zero singular
     # values into tiny nonzero ones, which must not be inverted
@@ -437,10 +441,27 @@ def test_singular_square_root_keeps_the_per_candidate_route(monkeypatch, seed):
     if seed is not None:
         units += 1e-13 * np.random.default_rng(seed).standard_normal(units.shape) * (1 - np.eye(n))
     basis = AlgebraBasis(n, 3.0, tuple(units))
+    searches, decided = [], []
+
+    class RecordingSearch(_PatternSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+        def descend(self, c):
+            if len(self.pattern) < n:
+                decided.append(len(c))
+            super().descend(c)
+
+    monkeypatch.setattr(convolution, "_PatternSearch", RecordingSearch)
     calls = _count_factorizations(monkeypatch)
     classes = unitary_group_enumerate(basis, 3.0)
-    assert calls["nullspace"] >= n
     assert [(u.perm, u.phase_dim) for u in classes] == [(tuple(range(n)), n - 1)]
+    # one n-row node per column, each factored once, though the walk counts
+    # n + (n - 1) + ... + 1 candidates (the per-candidate rule's n(n + 1)/2 SVDs)
+    assert decided == [n] * n
+    assert calls == {"factor": n}
+    assert [search.nodes for search in searches] == [n * (n + 1) // 2]
 
 
 def test_enumerate_two_cycle():
@@ -567,12 +588,6 @@ def test_enumerate_refuses_intermediate_phase_families():
         unitary_group_enumerate(basis, 3.0)
 
 
-def _unit(n, x, y):
-    m = np.zeros((n, n))
-    m[x, y] = 1.0
-    return m
-
-
 def test_enumerate_diagonal_algebra_keeps_the_identity_torus():
     # every candidate off the diagonal has a slice with a zero in its cell
     basis = AlgebraBasis(3, 3.0, tuple(_unit(3, i, i) for i in range(3)))
@@ -594,6 +609,154 @@ def test_enumerate_prunes_a_nilpotent_direction():
     basis = AlgebraBasis(3, 3.0, (np.eye(3), _unit(3, 1, 0)))
     units = unitary_group_enumerate(basis, 3.0)
     assert [(u.perm, u.phase_dim) for u in units] == [((0, 1, 2), 0)]
+
+
+def _left_nullspace(a):
+    """Orthonormal rows c with c @ a = 0."""
+    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    return u[:, int(np.sum(s > ENUM_TOL)):].conj().T
+
+
+def _per_candidate_enumerate(basis):
+    """The search by the per-candidate rule, as an oracle: every free row x
+    of the next column takes the left nullspace of the slice's other entries
+    there, at every node down to one row. Returns the sorted classes and the
+    node count."""
+    b0, n = basis._vh, basis.n
+    found, nodes = [], [0]
+
+    def descend(c, pattern):
+        y, d = len(pattern), len(c)
+        if y == n:
+            if d == 1:
+                vec = (c @ b0[:, np.array(pattern) * n + np.arange(n)])[0]
+                moduli = np.abs(vec)
+                spread = (moduli.max() - moduli.min()) / moduli.max()
+                if moduli.min() > ENUM_TOL and spread <= ENUM_TOL:
+                    phases = vec / moduli
+                    found.append(PhasedPermutation(tuple(pattern), tuple(phases / phases[0])))
+            elif d == n:
+                found.append(PhasedPermutation(tuple(pattern), (1.0,) * n, n - 1))
+            else:
+                raise NotGroupLike(f"a support pattern carries a {d}-parameter phase family "
+                                   "strictly between a scalar line and the full torus")
+            return
+        acol = c @ b0[:, y::n]
+        for x in range(n):
+            if x in pattern:
+                continue
+            nodes[0] += 1
+            if nodes[0] > convolution.ENUM_NODE_BUDGET:
+                raise BudgetError("pattern search exceeded its node budget")
+            nmat = _left_nullspace(np.delete(acol, x, axis=1))
+            if len(nmat) and np.max(np.abs(nmat @ acol[:, x])) > ENUM_TOL:
+                descend(nmat @ c, pattern + [x])
+
+    descend(np.eye(basis.dimension, dtype=complex), [])
+    identity = tuple(range(n))
+    return sorted(found, key=lambda u: (u.perm != identity, u.perm)), nodes[0]
+
+
+def _permutation_span(n, perms):
+    """The span of the permutation matrices of perms on n atoms, as a basis
+    of the first ones that are linearly independent."""
+    kept = []
+    for perm in perms:
+        m = np.zeros((n, n))
+        m[list(perm), range(n)] = 1.0
+        if np.linalg.matrix_rank(np.array([a.reshape(-1) for a in kept + [m]])) > len(kept):
+            kept.append(m)
+    return AlgebraBasis(n, 3.0, tuple(kept))
+
+
+def _block_sum(a, b):
+    """The block-diagonal algebra of two bases, as a basis."""
+    n, k = a.n + b.n, a.dimension
+    mats = np.zeros((k + b.dimension, n, n), dtype=complex)
+    mats[:k, :a.n, :a.n] = a.elements
+    mats[k:, a.n:, a.n:] = b.elements
+    return AlgebraBasis(n, 3.0, tuple(mats))
+
+
+def _oracle_bases():
+    """(name, basis, p): group algebras in several presentations, and
+    algebras whose search descends through multi-row nodes or raises."""
+    cases = [(f"{name} p={p}", convolver_algebra(ConvolutionContext(g, p)), p)
+             for name, g in zoo() + (("S4", make_symmetric(4)), ("D6", make_dihedral(6)))
+             for p in (1.5, 3.0)]
+    for name, g in (("D6", make_dihedral(6)), ("S3", make_symmetric(3)), ("Q8", make_quaternion())):
+        rng = np.random.default_rng(g.order)
+        gauss = rng.standard_normal((g.order,) * 2) + 1j * rng.standard_normal((g.order,) * 2)
+        for kind, mix in (("orthogonal", None), ("gaussian", gauss), ("plain", np.eye(g.order))):
+            mats = _presentation(g, rng, mix)[0]
+            cases.append((f"{kind} {name}", AlgebraBasis(g.order, 3.0, tuple(mats)), 3.0))
+    for name, g in (("D4", make_dihedral(4)), ("Q8", make_quaternion()), ("Z6", make_cyclic(6))):
+        d = np.exp(2j * np.pi * np.random.default_rng(3).random(g.order))
+        lam = [left_regular(ConvolutionContext(g, 1.5), s).matrix for s in range(g.order)]
+        cases.append((f"twisted {name}", AlgebraBasis(
+            g.order, 1.5, tuple(np.diag(d) @ m @ np.diag(1 / d) for m in lam)), 1.5))
+    for n in range(1, 7):
+        for seed in (None, 0):
+            units = np.array([_unit(n, i, i) for i in range(n)])
+            if seed is not None:
+                noise = np.random.default_rng(seed).standard_normal(units.shape)
+                units += 1e-13 * noise * (1 - np.eye(n))
+            cases.append((f"diagonal {n} noise {seed}", AlgebraBasis(n, 3.0, tuple(units)), 3.0))
+    for n in (2, 3, 4):
+        units = np.array([_unit(n, i, j) for i in range(n) for j in range(n)])
+        q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n * n, n * n)))
+        cases.append((f"M{n}", AlgebraBasis(n, 3.0, tuple(units)), 3.0))
+        cases.append((f"mixed M{n}",
+                      AlgebraBasis(n, 3.0, tuple(np.einsum("ij,jkl->ikl", q, units))), 3.0))
+        cases.append((f"upper triangular {n}", AlgebraBasis(
+            n, 3.0, tuple(_unit(n, i, j) for i in range(n) for j in range(i, n))), 3.0))
+    cases += [("I, E10", AlgebraBasis(3, 3.0, (np.eye(3), _unit(3, 1, 0))), 3.0),
+              ("J", AlgebraBasis(2, 3.0, (np.eye(2), np.array([[0.0, 2.0], [0.5, 0.0]]))), 3.0),
+              ("I, diag(1, 1, -1)",
+               AlgebraBasis(3, 3.0, (np.eye(3), np.diag([1.0, 1.0, -1.0]))), 3.0)]
+    for name, n, perms in (
+            ("S3 on 3 atoms", 3, itertools.permutations(range(3))),
+            ("S4 on 4 atoms", 4, itertools.permutations(range(4))),
+            ("Z2 x Z2 on 4 atoms", 4, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]),
+            ("Z4 on 5 atoms", 5,
+             [tuple((y + k) % 4 if y < 4 else 4 for y in range(5)) for k in range(4)]),
+            ("Z2 on 3 atoms", 3, [(0, 1, 2), (1, 0, 2)])):
+        cases.append((name, _permutation_span(n, perms), 3.0))
+    z2, z3 = (convolver_algebra(ConvolutionContext(make_cyclic(m), 3.0)) for m in (2, 3))
+    cases += [("Z2 + Z3", _block_sum(z2, z3), 3.0),
+              ("Z2 + C", _block_sum(z2, AlgebraBasis(1, 3.0, (np.eye(1),))), 3.0),
+              ("M2 (x) C[Z3]", AlgebraBasis(6, 3.0, tuple(
+                  np.kron(_unit(2, i, j), t)
+                  for i in range(2) for j in range(2) for t in z3.elements)), 3.0)]
+    return cases
+
+
+def _outcome(search):
+    """(classes, nodes) of a search, or the type and message it raised."""
+    try:
+        return search()
+    except (BudgetError, NotGroupLike) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_rule_agrees_with_the_per_candidate_oracle(monkeypatch):
+    searches = _record_searches(monkeypatch)
+    kinds = set()
+    for name, basis, p in _oracle_bases():
+        got = _outcome(lambda: (list(unitary_group_enumerate(basis, p)), searches[-1].nodes))
+        expected = _outcome(lambda: _per_candidate_enumerate(basis))
+        if isinstance(expected[0], type):
+            assert got == expected, name
+            kinds.add("raises")
+            continue
+        (units, nodes), (ref_units, ref_nodes) = got, expected
+        assert nodes == ref_nodes, name
+        assert ([(u.perm, u.phase_dim) for u in units]
+                == [(u.perm, u.phase_dim) for u in ref_units]), name
+        assert all(np.max(np.abs(np.subtract(u.phases, v.phases))) <= 1e-12
+                   for u, v in zip(units, ref_units)), name
+        kinds.update("torus" if u.phase_dim else "line" for u in units)
+    assert kinds == {"raises", "torus", "line"}
 
 
 def test_contexts_reject_extreme_exponents():

@@ -3,10 +3,11 @@ import gc
 import numpy as np
 import pytest
 
+from lpconv import reconstruction
 from lpconv.convolution import (AlgebraBasis, ConvolutionContext,
                                 PhasedPermutation, convolver_algebra,
                                 left_regular, unitary_group_enumerate)
-from lpconv.errors import NotGroupLike, P2Unsupported
+from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported
 from lpconv.groups import (FiniteGroup, is_isomorphic, make_cyclic,
                            make_direct_product, make_dihedral, make_quaternion,
                            make_symmetric, zoo)
@@ -243,6 +244,21 @@ def test_recovery_leaves_no_cyclic_garbage():
 def test_recover_full_matrix_algebra_gives_symmetric_group():
     rec = recover_group(full_matrix_algebra(3), 3.0)
     assert is_isomorphic(rec.group, make_symmetric(3)) is not None
+
+
+def test_components_refuse_more_classes_than_the_table_budget(monkeypatch):
+    # M_5's 5! = 120 classes still make S5; M_6's 720 are refused before a
+    # table over TABLE_BUDGET (128) is built
+    rec = recover_group(full_matrix_algebra(5), 3.0)
+    assert rec.group.order == 120
+    assert rec.group.order_profile() == make_symmetric(5).order_profile()
+
+    def refuse(*args):
+        raise AssertionError("built a component table over the budget")
+
+    monkeypatch.setattr(reconstruction, "FiniteGroup", refuse)
+    with pytest.raises(BudgetError, match="capped at order 128"):
+        recover_group(full_matrix_algebra(6), 3.0)
 
 
 def test_structural_components_match_numeric_majorant_gap():
