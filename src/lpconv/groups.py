@@ -2,7 +2,8 @@
 
 A group is a value: a table over element indices 0..order-1 plus the
 identity index. Construction validates the full set of axioms (Latin
-square, associativity, identity; two-sided inverses follow), so any
+square, identity, and associativity by Light's test on at most log2(order)
+generators, see FiniteGroup; two-sided inverses follow), so any
 FiniteGroup instance can be trusted downstream. Isomorphism testing is exact
 backtracking over generator images with element-order pruning.
 """
@@ -21,6 +22,13 @@ TABLE_BUDGET = 128
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A validated group table. Associativity is checked by Light's test:
+    (xg)y = x(gy) for all x, y and each g in generating_sequence. It is
+    complete: let B be the b with (xb)y = x(by) for all x, y. For b1, b2 in B,
+    (x(b1b2))y = ((xb1)b2)y = (xb1)(b2y) = x(b1(b2y)) = x((b1b2)y), so B is
+    closed under the product. _closure assumes no associativity, so the
+    sequence's closure is the whole table, and B is everything."""
+
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
@@ -33,24 +41,22 @@ class FiniteGroup:
         if len(t) != n or any(len(row) != n for row in t):
             raise ValueError("table must be an order x order matrix")
         full = frozenset(range(n))
-        for i in range(n):
+        for i, column in enumerate(zip(*t)):
             if frozenset(t[i]) != full:
                 raise ValueError(f"row {i} is not a permutation of the elements")
-            if frozenset(t[j][i] for j in range(n)) != full:
+            if frozenset(column) != full:
                 raise ValueError(f"column {i} is not a permutation of the elements")
         e = self.identity
         if not 0 <= e < n or any(t[e][x] != x or t[x][e] != x for x in range(n)):
             raise ValueError("identity index does not act as an identity")
         # inverses need no check: row a holds e once, at ab = e; then
         # (ba)b = b(ab) = eb, and the Latin square cancels b, so ba = e
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
-                row_ab = t[ta[b]]
-                tb = t[b]
-                for c in range(n):
-                    if row_ab[c] != ta[tb[c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        for g in generating_sequence(self):
+            for x in range(n):
+                lhs, rhs = t[t[x][g]], tuple(map(t[x].__getitem__, t[g]))
+                if lhs != rhs:  # (xg)y and x(gy) over all y
+                    y = next(y for y in range(n) if lhs[y] != rhs[y])
+                    raise ValueError(f"associativity fails at ({x}, {g}, {y})")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -198,17 +204,13 @@ def zoo() -> tuple[tuple[str, FiniteGroup], ...]:
 
 
 def _closure(g: FiniteGroup, seed: set[int]) -> set[int]:
-    elems = set(seed)
-    changed = True
-    while changed:
-        changed = False
+    """The closure of seed under the product; it assumes no associativity."""
+    elems, size = set(seed), 0
+    while size < len(elems):
+        size = len(elems)
         for a in list(elems):
             row = g.table[a]
-            for b in list(elems):
-                c = row[b]
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
+            elems.update([row[b] for b in list(elems)])
     return elems
 
 

@@ -33,10 +33,12 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     Elements sharing a permutation part collapse to one component; the
     component products must close up into a group table, otherwise the
     family was not group-like. The permutation part of a product is the
-    product of the permutation parts, so the table composes those alone.
-    Returns the component group with the identity permutation as element 0
-    and one representative per component. More than TABLE_BUDGET components
-    raise BudgetError before any product is composed.
+    product of the permutation parts, so the table composes those alone: with
+    the m sorted parts stacked as an m x n array P, one gather P[:, P] holds
+    a∘b in row (a, b), and one dict lookup per row reads its index. Returns
+    the component group with the identity permutation as element 0 and one
+    representative per component. More than TABLE_BUDGET components raise
+    BudgetError before any product is composed.
     """
     units = list(unitaries)
     if not units:
@@ -48,18 +50,24 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
         reps.setdefault(u.perm, u)
     if len(reps) > TABLE_BUDGET:
         raise BudgetError(f"component groups are capped at order {TABLE_BUDGET}")
+    if any(len(p) != n for p in reps):
+        raise NotGroupLike("isometry classes act on spaces of different sizes")
     if identity not in reps:
         raise NotGroupLike("no scalar class present")
+    if n == 0:  # the empty permutation alone: no atoms to key the rows on
+        return FiniteGroup(1, ((0,),), 0), (reps[identity],)
     perms = [identity] + sorted(p for p in reps if p != identity)
-    index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for a in perms:
-        row = tuple(index.get(tuple([a[y] for y in b]), -1) for b in perms)
-        if -1 in row:
-            raise NotGroupLike("component classes are not closed under product")
-        table.append(row)
+    m = len(perms)
+    stack = np.array(perms, dtype=np.min_scalar_type(n))
+    as_key = np.dtype((np.void, stack.itemsize * n))  # a row's bytes as one scalar
+    index = {key: i for i, key in enumerate(stack.view(as_key).ravel().tolist())}
+    products = stack[:, stack].reshape(m * m, n).view(as_key).ravel().tolist()
+    flat = [index.get(key, -1) for key in products]
+    if -1 in flat:
+        raise NotGroupLike("component classes are not closed under product")
+    table = tuple(tuple(flat[i:i + m]) for i in range(0, m * m, m))
     try:
-        group = FiniteGroup(len(perms), tuple(table), 0)
+        group = FiniteGroup(m, table, 0)
     except ValueError as exc:
         raise NotGroupLike(f"component table is not a group: {exc}") from exc
     return group, tuple(reps[p] for p in perms)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -63,6 +64,96 @@ def test_table_validation_rejects_broken_tables():
     )
     with pytest.raises(ValueError):
         FiniteGroup(5, loop, 0)
+
+
+def associative_by_triples(table):
+    """The n^3 oracle: (ab)c = a(bc) on every triple."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def reduced_latin_squares(n):
+    """Latin squares on 0..n-1 whose first row and column read 0..n-1, so
+    that 0 is a two-sided identity, in lexicographic order."""
+    rows = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(map(tuple, rows))
+            return
+        r, c = divmod(cell, n)
+        if r == 0 or c == 0:
+            yield from fill(cell + 1)
+            return
+        used = set(rows[r][:c]) | {rows[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                rows[r][c] = v
+                yield from fill(cell + 1)
+        rows[r][c] = -1
+
+    return fill(0)
+
+
+def intercalate_swaps(t, identity):
+    """Every table made from t by swapping the entries of a 2 x 2 Latin
+    subsquare that avoids the identity's row and column."""
+    others = [x for x in range(len(t)) if x != identity]
+    for r1, r2 in itertools.combinations(others, 2):
+        for c1, c2 in itertools.combinations(others, 2):
+            if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]:
+                rows = [list(row) for row in t]
+                rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+                rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+                yield tuple(map(tuple, rows)), identity
+
+
+def renamed(table, identity, names):
+    """The same table with element x renamed names[x]."""
+    old = sorted(range(len(table)), key=lambda x: names[x])
+    return (tuple(tuple(names[table[a][b]] for b in old) for a in old),
+            names[identity])
+
+
+def light_verdict(table, identity):
+    """FiniteGroup's verdict on a Latin square with identity, held to the
+    n^3 oracle; a rejection must name a triple that really fails."""
+    try:
+        FiniteGroup(len(table), table, identity)
+    except ValueError as exc:
+        found = re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", str(exc))
+        x, g, y = map(int, found.groups())
+        assert table[table[x][g]][y] != table[x][table[g][y]]
+        assert not associative_by_triples(table)
+        return False
+    assert associative_by_triples(table)
+    return True
+
+
+def test_light_test_agrees_with_the_triple_oracle():
+    rng = random.Random(20)
+    small = [g for _, g in zoo() if 5 <= g.order <= 8]
+    z2 = make_cyclic(2)
+    small.append(make_direct_product(make_direct_product(z2, z2), z2))
+    groups = [g for _, g in zoo()] + [
+        make_symmetric(4), make_dihedral(12),
+        make_direct_product(make_quaternion(), make_cyclic(4))]
+    loop5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+             (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    cases = [(g.table, g.identity) for g in groups] + [(loop5, 0)]
+    for g in small:
+        cases += list(intercalate_swaps(g.table, g.identity))
+    # odd cyclic groups and loop5 have no 2 x 2 subsquare, so orders 5 and 7
+    # come from reduced Latin squares: all 56 of order 5, the first 40 of order 7
+    cases += [(t, 0) for t in reduced_latin_squares(5)]
+    cases += [(t, 0) for t in itertools.islice(reduced_latin_squares(7), 40)]
+    verdicts = []
+    for table, identity in cases:
+        names = rng.sample(range(len(table)), len(table))
+        verdicts.append(light_verdict(*renamed(table, identity, names)))
+    assert {len(t) for t, _ in cases} >= {5, 6, 7, 8, 24, 32}
+    assert True in verdicts and False in verdicts
 
 
 def test_dihedral_matches_permutation_representation():
@@ -177,10 +268,7 @@ def test_isomorphism_is_an_equivalence_on_the_zoo():
 
 def relabel(g, names):
     """The same group with element x renamed names[x]."""
-    old = sorted(range(g.order), key=lambda x: names[x])
-    table = tuple(tuple(names[g.mul(old[a], old[b])] for b in range(g.order))
-                  for a in range(g.order))
-    return FiniteGroup(g.order, table, names[g.identity])
+    return FiniteGroup(g.order, *renamed(g.table, g.identity, names))
 
 
 def test_equal_order_profiles_without_an_isomorphism():

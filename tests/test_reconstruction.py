@@ -50,6 +50,8 @@ def test_components_of_handmade_phase_classes():
     more = [PhasedPermutation((0, 1), (-1j, -1j))] * 3
     group2, _ = components([ident, swap] + extra_phases + more)
     assert group2.order == 2
+    # the empty permutation alone is the trivial group
+    assert components([PhasedPermutation((), ())])[0].table == ((0,),)
 
 
 def test_components_reject_unclosed_lists():
@@ -63,6 +65,34 @@ def test_components_require_scalar_class():
     cycle = PhasedPermutation((1, 2, 0), (1.0, 1.0, 1.0))
     with pytest.raises(NotGroupLike):
         components([cycle])
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 2)])
+def test_components_refuse_classes_of_unequal_size(sizes):
+    units = [PhasedPermutation(tuple(range(k)), (1.0,) * k) for k in sizes]
+    with pytest.raises(NotGroupLike, match="different sizes"):
+        components(units)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_direct_product(make_quaternion(), make_cyclic(16)),
+    lambda: make_dihedral(64),
+    lambda: make_cyclic(128),
+], ids=["Q8xZ16", "D64", "Z128"])
+def test_components_of_left_regular_classes_at_order_128(make):
+    # past the enumeration's 64-atom cap, so the classes come from the table
+    g = make()
+    shuffled = list(range(g.order))
+    np.random.default_rng(g.order).shuffle(shuffled)
+    units = [PhasedPermutation(tuple(g.mul(s, y) for y in range(g.order)),
+                               (1.0,) * g.order) for s in shuffled]
+    element = {u.perm: s for u, s in zip(units, shuffled)}
+    group, reps = components(units)
+    names = [element[u.perm] for u in reps]
+    assert names[0] == g.identity
+    assert [u.perm for u in reps] == sorted(u.perm for u in reps)
+    assert all(names[group.mul(a, b)] == g.mul(names[a], names[b])
+               for a in range(g.order) for b in range(g.order))
 
 
 def _as_matrix(u):
