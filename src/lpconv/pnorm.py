@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import POutOfRange
-from .isometry import LpContext, Operator, vector_norm
+from .isometry import LpContext, Operator, _reduce, vector_norm
 
 BOYD_TOL = 1e-10
 BOYD_MAX_ITER = 10_000
@@ -89,12 +89,6 @@ def pnorm_genperm_exact(obj, ctx: LpContext) -> float:
             row_used[x] = True
             best = max(best, abs(m[x, y]) * (w[x] / w[y]) ** (1.0 / ctx.p))
     return float(best)
-
-
-def _reduce(m: np.ndarray, ctx: LpContext) -> np.ndarray:
-    # similarity onto the unweighted space; isometric, preserves nonnegativity
-    d = ctx.weight_array ** (1.0 / ctx.p)
-    return (d[:, None] * m) / d[None, :]
 
 
 def _unweighted_norm(v: np.ndarray, p: float):

@@ -339,7 +339,8 @@ def test_group_and_measure_commands_start_without_numpy(tmp_path, argv, expected
     (("decide",), {"numpy"}),
     (("algebra", "build"), {"numpy"}),
     (("norm",), {"numpy", "numpy.random", "lpconv.measure", "lpconv.isometry", "lpconv.pnorm"}),
-], ids=["recover", "decide", "algebra build", "norm"])
+    (("isom", "decompose"), {"numpy", "lpconv.measure", "lpconv.isometry"}),
+], ids=["recover", "decide", "algebra build", "norm", "isom decompose"])
 def test_numeric_commands_leave_the_acceptance_suite_unloaded(tmp_path, leaf, modules):
     code, loaded = _cold_run(tmp_path, [*leaf, *_LEAVES[leaf]])
     assert code == 0

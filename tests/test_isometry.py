@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpconv.acceptance import P_GRID, _random_algebra, _random_form, _rng
 from lpconv.errors import NotIsometry, P2Unsupported, POutOfRange
-from lpconv.isometry import (LampertiForm, LpContext, Operator, clarkson_gap,
+from lpconv.isometry import (DECOMPOSE_TOL, LampertiForm, LpContext, Operator, clarkson_gap,
                              lamperti_decompose, lamperti_distance,
                              lamperti_operator, mult_isometry,
                              transform_isometry, vector_norm)
@@ -46,7 +47,7 @@ def _interplay_deviation(phi, f, ctx):
     inverse = BooleanAutomorphism(ctx.algebra, tuple(phi.perm.index(y) for y in range(n)))
     u = transform_isometry(phi, ctx)
     lhs = u.compose(mult_isometry(f, ctx)).compose(transform_isometry(inverse, ctx))
-    return lhs.max_abs_deviation(mult_isometry(phi.push_function(f), ctx))
+    return np.max(np.abs(lhs.matrix - mult_isometry(phi.push_function(f), ctx).matrix))
 
 
 def _is_disjointness_preserving(op, tol=1e-10):
@@ -94,7 +95,7 @@ def test_mult_isometries_compose_pointwise(ctx, data):
                            tuple(np.exp(2j * np.pi * a) for a in data.draw(angles)))
     lhs = mult_isometry(f, ctx).compose(mult_isometry(g, ctx))
     rhs = mult_isometry(f * g, ctx)
-    assert lhs.max_abs_deviation(rhs) <= 1e-12
+    assert np.max(np.abs(lhs.matrix - rhs.matrix)) <= 1e-12
 
 
 def test_transform_isometry_identity():
@@ -133,7 +134,7 @@ def test_transform_isometries_compose(ctx, data):
     lhs = transform_isometry(psi, ctx).compose(transform_isometry(phi, ctx))
     psi_after_phi = BooleanAutomorphism(ctx.algebra, tuple(psi.perm[y] for y in phi.perm))
     rhs = transform_isometry(psi_after_phi, ctx)
-    assert lhs.max_abs_deviation(rhs) <= 1e-12
+    assert np.max(np.abs(lhs.matrix - rhs.matrix)) <= 1e-12
 
 
 @given(context_and_form())
@@ -241,10 +242,63 @@ def test_decompose_rejects_non_isometries():
         lamperti_decompose(Operator(ctx, np.diag([2.0, 1.0])))
     with pytest.raises(NotIsometry):
         lamperti_decompose(Operator(ctx, np.ones((2, 2))))
-    # an l2 rotation presented at p = 3 fails the norm validation
+    # an l2 rotation presented at p = 3 fails on its column supports
     c = math.sqrt(0.5)
     with pytest.raises(NotIsometry):
         lamperti_decompose(Operator(ctx, np.array([[c, -c], [c, c]])))
+
+
+def _identity_plus_ones(scale):
+    """I + scale * J on eight atoms of counting measure at p = 3."""
+    ctx = LpContext(FiniteMeasureAlgebra((1.0,) * 8), 3.0)
+    return Operator(ctx, np.eye(8) + scale * np.ones((8, 8)))
+
+
+def test_decompose_refuses_a_norm_change_above_tol():
+    # the all-ones vector's norm grows by 1.6e-9 of itself, above the default 1e-9
+    with pytest.raises(NotIsometry, match="Riesz-Thorin bound"):
+        lamperti_decompose(_identity_plus_ones(2e-10))
+
+
+def test_decompose_accepts_a_norm_change_below_tol():
+    assert lamperti_decompose(_identity_plus_ones(1e-11)).phi.perm == tuple(range(8))
+
+
+@given(context_and_form(), st.floats(-14.0, -9.0), st.data())
+def test_accepted_perturbations_change_no_sampled_norm_beyond_tol(cf, log_scale, data):
+    ctx, form = cf
+    n = ctx.algebra.atoms
+    noise = data.draw(st.lists(st.complex_numbers(max_magnitude=1.0),
+                               min_size=n * n, max_size=n * n))
+    op = Operator(ctx, lamperti_operator(form, ctx).matrix
+                  + 10.0 ** log_scale * np.reshape(noise, (n, n)))
+    try:
+        lamperti_decompose(op)
+    except NotIsometry:
+        return
+    rng = np.random.default_rng(n)
+    draws = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+    for xi in (*np.eye(n), np.ones(n), *draws):
+        before = vector_norm(xi, ctx)
+        # 1e-14 of slack for the roundoff of the two measured norms
+        assert abs(vector_norm(op.apply(xi), ctx) - before) <= (DECOMPOSE_TOL + 1e-14) * before
+
+
+def test_tol_zero_refuses_exact_forms():
+    # the first 300 forms of criterion 3 at seed 0: roundoff is never proved away
+    rng = _rng(0, 3)
+    for _ in range(300):
+        algebra = _random_algebra(rng, int(rng.integers(1, 9)))
+        ctx = LpContext(algebra, float(P_GRID[rng.integers(len(P_GRID))]))
+        with pytest.raises(NotIsometry):
+            lamperti_decompose(lamperti_operator(_random_form(rng, algebra), ctx), tol=0.0)
+
+
+def test_tol_zero_refuses_the_identity():
+    # its bound is 0 in floating point, but the roundoff allowance is not
+    ctx = LpContext(FiniteMeasureAlgebra((1.0, 2.0, 0.5)), 3.0)
+    with pytest.raises(NotIsometry, match="exceeds 0.0"):
+        lamperti_decompose(Operator(ctx, np.eye(3)), tol=0.0)
 
 
 def test_distance_closed_forms():
