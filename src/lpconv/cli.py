@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -79,44 +80,27 @@ def _parse_perm(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"takes comma separated integers, got {text!r}") from exc
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:  # numpy would refuse a negative seed mid-run
-        raise argparse.ArgumentTypeError(f"takes an integer of at least 0, got {text!r}")
-    return seed
+def _number(convert, accepts, wording):
+    """An argparse type: convert the text (int or float), then require
+    accepts(value), else the usage error says the option takes wording."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:  # argparse's own wording for type=int and type=float
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not accepts(value):  # NaN fails every range test
+            raise argparse.ArgumentTypeError(f"takes {wording}, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_order(text: str) -> int:
-    try:
-        order = int(text)
-    except ValueError:  # argparse's own wording for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if order < 1:
-        raise argparse.ArgumentTypeError(f"takes an integer of at least 1, got {text!r}")
-    return order
-
-
-def _parse_p(text: str) -> float:
-    try:
-        p = float(text)
-    except ValueError:  # argparse's own wording for type=float
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 1 < p < float("inf"):  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(f"takes a finite number above 1, got {text!r}")
-    return p
-
-
-def _parse_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:  # argparse's own wording for type=float
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 <= tol < float("inf"):  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(f"takes a finite number of at least 0, got {text!r}")
-    return tol
+# numpy would refuse a negative seed mid-run, so the parser refuses it
+_parse_seed = _number(int, lambda v: v >= 0, "an integer of at least 0")
+_parse_order = _number(int, lambda v: v >= 1, "an integer of at least 1")
+_parse_starts = _number(int, lambda v: v >= 0, "a count of at least 0")
+_parse_p = _number(float, lambda v: 1 < v < math.inf, "a finite number above 1")
+_parse_tol = _number(float, lambda v: 0 <= v < math.inf, "a finite number of at least 0")
 
 
 def _parse_criteria(text: str) -> list[int]:
@@ -196,8 +180,6 @@ def _cmd_isom_distance(args) -> tuple[object, int]:
 def _cmd_norm(args) -> tuple[object, int]:
     from .isometry import LpContext
     from .pnorm import pnorm_estimate
-    if args.starts < 0:
-        raise UsageError(f"--starts takes a count of at least 0, got {args.starts}")
     if args.starts > NORM_STARTS_BUDGET:
         raise BudgetError(f"--starts capped at {NORM_STARTS_BUDGET}")
     op = serialize.operator_from_json(_load(args.file))
@@ -307,7 +289,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     leaf(isom, "distance", _cmd_isom_distance, "a", "b", seed=seed)
 
     leaf(commands, "norm", _cmd_norm, "file", help="certified operator norm sandwich",
-         p={"type": _parse_p}, starts={"type": int, "default": 8}, seed=seed)
+         p={"type": _parse_p}, starts={"type": _parse_starts, "default": 8}, seed=seed)
 
     algebra = actions("algebra", "build algebras and list isometries")
     leaf(algebra, "build", _cmd_algebra_build, "file", p={"type": _parse_p, "default": 3.0})

@@ -25,7 +25,8 @@ from .groups import FiniteGroup
 if TYPE_CHECKING:
     from .isometry import LpContext, Operator
 
-ENUM_NODE_BUDGET = 200_000
+# one unit per search SVD or one-row path, each about 0.1 ms of CPU
+ENUM_WORK_BUDGET = 10_000
 ENUM_ATOM_BUDGET = 64
 ENUM_TOL = 1e-9
 
@@ -297,12 +298,12 @@ class _PatternSearch:
         self.n = n
         self.pattern: list[int] = []
         self.found: list[PhasedPermutation] = []
-        self.nodes = 0
+        self.work = 0
 
-    def _count(self, k: int) -> None:
-        self.nodes += k
-        if self.nodes > ENUM_NODE_BUDGET:
-            raise BudgetError("pattern search exceeded its node budget")
+    def _charge(self, units: int) -> None:
+        self.work += units
+        if self.work > ENUM_WORK_BUDGET:
+            raise BudgetError("pattern search exceeded its work budget")
 
     def descend(self, c: np.ndarray) -> None:
         """Decide the children of slice c from one SVD of its block for the
@@ -313,8 +314,8 @@ class _PatternSearch:
         that vanish on column y off row x are spanned by the null rows
         U[:, r:]^H, which vanish on the whole column, and at most one line:
         row x of A's rank-r pseudo-inverse, normalised, kept exactly when
-        its product with A passes _single_rows in row x. The node counts its
-        free rows before any child runs. Without null rows every child is a
+        its product with A passes _single_rows in row x. The node charges one
+        unit of work before its SVD. Without null rows every child is a
         one-row slice, and they go to _follow_line as one block; otherwise
         each child [null rows; line] c descends. Past the last column a
         slice of dimension n is the whole phase torus (phase_dim = n - 1),
@@ -330,14 +331,14 @@ class _PatternSearch:
                     "strictly between a scalar line and the full torus")
             self.found.append(PhasedPermutation(tuple(pattern), (1.0 + 0j,) * n, n - 1))
             return
-        free = [x for x in range(n) if x not in pattern]
-        self._count(len(free))
+        self._charge(1)
         acol = c @ self.b0[:, y::n]
         u, s, vh = np.linalg.svd(acol)
         r = int(np.sum(s > ENUM_TOL))
         pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
         norm = np.linalg.norm(pinv, axis=1)
-        free = [x for x in free if norm[x] > 0]  # a zero row of pinv has no line
+        # a zero row of pinv has no line
+        free = [x for x in range(n) if x not in pattern and norm[x] > 0]
         lines = pinv[free] / norm[free, None]
         rows, ok = _single_rows((lines @ acol).T)
         keep = [i for i, x in enumerate(free) if ok[i] and rows[i] == x]
@@ -358,13 +359,13 @@ class _PatternSearch:
         heads[i], so its first y0 columns are fixed. A one-dimensional slice
         is a single matrix M up to scale, so its subtree is one path: column
         y continues it exactly when _single_rows passes M[:, y] in a free
-        row, the one-row case of descend's rule. Each level visited counts
-        its n - y free rows as nodes, up to and including the first failing
-        one. A complete pattern is a class when its entries share one
-        modulus (relative spread at most ENUM_TOL), with its phases divided
-        by the first. The whole block is multiplied by the frame once, and
-        every pattern is read from that product.
+        row, the one-row case of descend's rule. The block charges one unit
+        of work per path. A complete pattern is a class when its entries
+        share one modulus (relative spread at most ENUM_TOL), with its phases
+        divided by the first. The whole block is multiplied by the frame
+        once, and every pattern is read from that product.
         """
+        self._charge(len(heads))
         n = self.n
         y0 = len(self.pattern) + 1
         mats = (cs @ self.b0).reshape(-1, n, n)
@@ -372,15 +373,11 @@ class _PatternSearch:
         for mat, head, tail, fine in zip(mats, heads, rows.tolist(), ok.tolist()):
             pattern = self.pattern + [head]
             used = set(pattern)
-            visited = len(tail)
-            for j, x in enumerate(tail):
-                if not fine[j] or x in used:
-                    visited = j + 1
+            for x, passed in zip(tail, fine):
+                if not passed or x in used:
                     break
                 used.add(x)
                 pattern.append(x)
-            # level j counts its n - y0 - j free rows
-            self._count(visited * (n - y0) - visited * (visited - 1) // 2)
             if len(pattern) < n:
                 continue
             vec = mat[pattern, np.arange(n)]
@@ -405,7 +402,9 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermut
     it in one pass, sibling slices in one block product with the frame; a
     slice of full dimension n yields the whole phase torus (reported with
     phase_dim = n - 1); an intermediate dimension would not produce a
-    discrete class set and raises NotGroupLike.
+    discrete class set and raises NotGroupLike. The search charges one unit
+    of ENUM_WORK_BUDGET per SVD and one per one-row path, and raises
+    BudgetError past it.
     """
     if p == 2.0:
         raise P2Unsupported(

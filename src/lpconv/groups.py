@@ -26,8 +26,9 @@ class FiniteGroup:
     (xg)y = x(gy) for all x, y and each g in generating_sequence. It is
     complete: let B be the b with (xb)y = x(by) for all x, y. For b1, b2 in B,
     (x(b1b2))y = ((xb1)b2)y = (xb1)(b2y) = x(b1(b2y)) = x((b1b2)y), so B is
-    closed under the product. _closure assumes no associativity, so the
-    sequence's closure is the whole table, and B is everything."""
+    closed under the product. generating_sequence's closure assumes no
+    associativity, so the sequence's closure is the whole table, and B is
+    everything."""
 
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -203,25 +204,30 @@ def zoo() -> tuple[tuple[str, FiniteGroup], ...]:
     return tuple(entries)
 
 
-def _closure(g: FiniteGroup, seed: set[int]) -> set[int]:
-    """The closure of seed under the product; it assumes no associativity."""
-    elems, size = set(seed), 0
-    while size < len(elems):
-        size = len(elems)
-        for a in list(elems):
-            row = g.table[a]
-            elems.update([row[b] for b in list(elems)])
-    return elems
-
-
 def generating_sequence(g: FiniteGroup) -> list[int]:
-    """A greedy generating sequence: each entry extends the generated subgroup."""
+    """A greedy generating sequence: each entry extends the generated subgroup.
+
+    The generated set is closed under the product, and it assumes no
+    associativity. It grows incrementally: each round multiplies only the
+    newest elements, on both sides, by every element so far, since every
+    other product was formed in an earlier round.
+    """
+    rows, cols = g.table, list(zip(*g.table))
     gens: list[int] = []
     generated = {g.identity}
     for x in range(g.order):
-        if x not in generated:
-            gens.append(x)
-            generated = _closure(g, generated | {x})
+        if x in generated:
+            continue
+        gens.append(x)
+        newest = {x}
+        while newest:
+            generated |= newest
+            products: set[int] = set()
+            for a in newest:
+                row, col = rows[a], cols[a]
+                products.update([row[b] for b in generated])  # a b
+                products.update([col[b] for b in generated])  # b a
+            newest = products - generated
     return gens
 
 

@@ -167,13 +167,15 @@ def lamperti_decompose(op: Operator, *, tol: float = DECOMPOSE_TOL) -> LampertiF
 
     Reads the permutation off the column supports (away from p = 2 a genuine
     isometry has one supported row per column; an entry of modulus at most
-    tol counts as zero) and divides out the weight factors to recover the
-    phases f. The proof: for the form's operator L and D = diag(w^(1/p)),
+    tol counts as zero) and divides out the weight factors to recover values
+    v, whose nearest unimodular phases v/|v| are the form's f. The proof:
+    for the form's operator L, an isometry, and D = diag(w^(1/p)),
     E = D (op - L) D^-1 is D op D^-1 less the phases on the permutation's
-    cells. Riesz-Thorin's |E|_1^(1/p) |E|_inf^(1 - 1/p) plus max ||f| - 1|
-    bounds the relative norm change of every vector, atoms included. The
-    form is returned only if that bound, plus 8 (n + 1) eps (1 + bound) for
-    the roundoff in forming E, is at most tol; so tol = 0 accepts nothing.
+    cells, which there leaves v - v/|v|, of modulus ||v| - 1|. So
+    Riesz-Thorin's |E|_1^(1/p) |E|_inf^(1 - 1/p) alone bounds the relative
+    norm change of every vector, atoms included. The form is returned only
+    if that bound, plus 8 (n + 1) eps (1 + bound) for the roundoff in
+    forming E, is at most tol; so tol = 0 accepts nothing.
     """
     ctx = op.context
     p = ctx.p
@@ -201,14 +203,12 @@ def lamperti_decompose(op: Operator, *, tol: float = DECOMPOSE_TOL) -> LampertiF
 
     values = [0j] * n
     for x, y in enumerate(perm):
-        values[y] = m[y, x] / (w[x] / w[y]) ** (1.0 / p)
-    phase_defect = _unimodular_defect(values)
-    if phase_defect > UNIMODULAR_TOL:
-        raise NotIsometry("recovered phases are not unimodular")
+        v = m[y, x] / (w[x] / w[y]) ** (1.0 / p)
+        values[y] = v / abs(v)
 
     e = _reduce(m, ctx)
     e[perm, range(n)] -= [values[y] for y in perm]
-    bound = _riesz_thorin(e, p) + phase_defect
+    bound = _riesz_thorin(e, p)
     bound += 8.0 * (n + 1) * _EPS * (1.0 + bound)
     if not bound <= tol:  # a NaN bound is refused too
         raise NotIsometry(f"Riesz-Thorin bound {bound} on the relative norm change exceeds {tol}")

@@ -179,6 +179,26 @@ def test_bad_inputs_end_in_json_errors(capsys, tmp_path, argv, payload, expected
     assert set(data) == {"error", "kind"}
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["demo", "p2", "--seed", "abc"], "lpconv demo p2: argument --seed: invalid int value: 'abc'"),
+    (["demo", "p2", "--seed", "-1"],
+     "lpconv demo p2: argument --seed: takes an integer of at least 0, got '-1'"),
+    (["norm", "FILE", "--starts", "-1"],
+     "lpconv norm: argument --starts: takes a count of at least 0, got '-1'"),
+    (["norm", "FILE", "--starts", "abc"], "lpconv norm: argument --starts: invalid int value: 'abc'"),
+    (["group", "make", "cyclic", "0"],
+     "lpconv group make cyclic: argument order: takes an integer of at least 1, got '0'"),
+    (["norm", "FILE", "--p", "nan"], "lpconv norm: argument --p: takes a finite number above 1, got 'nan'"),
+    (["isom", "decompose", "FILE", "--tol", "x"],
+     "lpconv isom decompose: argument --tol: invalid float value: 'x'"),
+], ids=["seed-not-a-number", "seed-negative", "starts-negative", "starts-not-a-number",
+        "order-zero", "p-nan", "tol-not-a-number"])
+def test_numeric_options_word_their_usage_errors_alike(capsys, argv, error):
+    # every numeric option is parsed before any file is read
+    code, data = run(capsys, *argv)
+    assert (code, data) == (2, {"error": error, "kind": "usage"})
+
+
 def _payload_files(tmp_path):
     return {
         "GROUP": write_json(tmp_path / "z2.json", serialize.group_to_json(make_cyclic(2))),

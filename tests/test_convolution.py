@@ -266,13 +266,24 @@ def test_closure_routes_agree():
 
 
 def _record_searches(monkeypatch):
-    """The list of every _PatternSearch made from here on, in order."""
+    """The list of every _PatternSearch made from here on, in order. Each
+    records in svds the descend calls that factor (those before the last
+    column) and in paths the one-row slices it follows."""
     searches = []
 
     class RecordingSearch(_PatternSearch):
         def __init__(self, *args):
             super().__init__(*args)
+            self.svds = self.paths = 0
             searches.append(self)
+
+        def descend(self, c):
+            self.svds += len(self.pattern) < self.n
+            super().descend(c)
+
+        def _follow_line(self, cs, heads):
+            self.paths += len(heads)
+            super()._follow_line(cs, heads)
 
     monkeypatch.setattr(convolution, "_PatternSearch", RecordingSearch)
     return searches
@@ -301,7 +312,7 @@ def test_enumeration_reuses_the_basis_frame(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     units = unitary_group_enumerate(basis, 3.0)
     assert stack_svds == []
-    assert [search.nodes for search in searches] == [reference.nodes]
+    assert [search.work for search in searches] == [reference.work] == [1 + n]
     assert len(units) == len(reference.found) == n
     assert set(units) == set(reference.found)
 
@@ -425,10 +436,13 @@ def _count_factorizations(monkeypatch):
 @pytest.mark.parametrize("group", _FRAME_GROUPS, ids=["D6", "Q8xZ4", "Q8xZ8"])
 def test_enumeration_factors_the_root_once(monkeypatch, group):
     basis, supports = _hidden_presentation(group, np.random.default_rng(group.order))
+    searches = _record_searches(monkeypatch)
     calls = _count_factorizations(monkeypatch)
     units = unitary_group_enumerate(basis, 3.0)
     assert calls == {"factor": 1}
     assert {u.perm for u in units} == supports
+    # one unit for the root's SVD and one per one-row path: 65 at order 64
+    assert [search.work for search in searches] == [group.order + 1]
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
@@ -457,11 +471,11 @@ def test_rank_deficient_root_factors_once_per_multi_row_node(monkeypatch, seed):
     calls = _count_factorizations(monkeypatch)
     classes = unitary_group_enumerate(basis, 3.0)
     assert [(u.perm, u.phase_dim) for u in classes] == [(tuple(range(n)), n - 1)]
-    # one n-row node per column, each factored once, though the walk counts
-    # n + (n - 1) + ... + 1 candidates (the per-candidate rule's n(n + 1)/2 SVDs)
+    # one n-row node per column, each factored once and charged one unit,
+    # where the per-candidate rule made n + (n - 1) + ... + 1 SVDs
     assert decided == [n] * n
     assert calls == {"factor": n}
-    assert [search.nodes for search in searches] == [n * (n + 1) // 2]
+    assert [search.work for search in searches] == [n]
 
 
 def test_enumerate_two_cycle():
@@ -512,19 +526,33 @@ def test_enumerate_closure_and_projection_to_group_product():
     assert _compose(a, b).perm == lam_perm[g.mul(s, t)]
 
 
-@pytest.mark.parametrize("group, nodes", [(make_cyclic(4), 28), (make_quaternion(), 232)],
+@pytest.mark.parametrize("group, work", [(make_cyclic(4), 5), (make_quaternion(), 9)],
                          ids=["Z4", "Q8"])
-def test_enumerate_node_count_is_pinned(monkeypatch, group, nodes):
-    # n root candidates, then each of the n one-dimensional children walks
-    # its single path over (n - 1) + ... + 1 free rows: n + n * n(n - 1) / 2
+def test_enumerate_node_count_is_pinned(monkeypatch, group, work):
+    # one unit for the root's SVD, then one for each of the n one-row paths
     n = group.order
-    assert nodes == n + n * n * (n - 1) // 2
+    assert work == n + 1
     basis = convolver_algebra(ConvolutionContext(group, 3.0))
-    monkeypatch.setattr(convolution, "ENUM_NODE_BUDGET", nodes)
+    monkeypatch.setattr(convolution, "ENUM_WORK_BUDGET", work)
     assert len(unitary_group_enumerate(basis, 3.0)) == n
-    monkeypatch.setattr(convolution, "ENUM_NODE_BUDGET", nodes - 1)
-    with pytest.raises(BudgetError):
+    monkeypatch.setattr(convolution, "ENUM_WORK_BUDGET", work - 1)
+    with pytest.raises(BudgetError, match="pattern search exceeded its work budget"):
         unitary_group_enumerate(basis, 3.0)
+
+
+def test_matrix_algebra_search_is_charged_per_svd(monkeypatch):
+    # M_5's search makes 206 SVDs and follows no one-row path; its 120
+    # classes are the permutations, each with its whole phase torus
+    basis = AlgebraBasis(5, 3.0, tuple(_unit(5, i, j) for i in range(5) for j in range(5)))
+    searches = _record_searches(monkeypatch)
+    monkeypatch.setattr(convolution, "ENUM_WORK_BUDGET", 206)
+    classes = unitary_group_enumerate(basis, 3.0)
+    assert len(classes) == 120 and {u.phase_dim for u in classes} == {4}
+    assert [(s.work, s.svds, s.paths) for s in searches] == [(206, 206, 0)]
+    monkeypatch.setattr(convolution, "ENUM_WORK_BUDGET", 205)
+    with pytest.raises(BudgetError, match="pattern search exceeded its work budget"):
+        unitary_group_enumerate(basis, 3.0)
+    assert searches[-1].work == 206
 
 
 @pytest.mark.parametrize("group", [
@@ -617,6 +645,9 @@ def _left_nullspace(a):
     return u[:, int(np.sum(s > ENUM_TOL)):].conj().T
 
 
+_ORACLE_NODE_BUDGET = 200_000  # the per-candidate rule's own count of candidates
+
+
 def _per_candidate_enumerate(basis):
     """The search by the per-candidate rule, as an oracle: every free row x
     of the next column takes the left nullspace of the slice's other entries
@@ -646,7 +677,7 @@ def _per_candidate_enumerate(basis):
             if x in pattern:
                 continue
             nodes[0] += 1
-            if nodes[0] > convolution.ENUM_NODE_BUDGET:
+            if nodes[0] > _ORACLE_NODE_BUDGET:
                 raise BudgetError("pattern search exceeded its node budget")
             nmat = _left_nullspace(np.delete(acol, x, axis=1))
             if len(nmat) and np.max(np.abs(nmat @ acol[:, x])) > ENUM_TOL:
@@ -732,7 +763,7 @@ def _oracle_bases():
 
 
 def _outcome(search):
-    """(classes, nodes) of a search, or the type and message it raised."""
+    """(classes, count) of a search, or the type and message it raised."""
     try:
         return search()
     except (BudgetError, NotGroupLike) as exc:
@@ -743,14 +774,14 @@ def test_one_rule_agrees_with_the_per_candidate_oracle(monkeypatch):
     searches = _record_searches(monkeypatch)
     kinds = set()
     for name, basis, p in _oracle_bases():
-        got = _outcome(lambda: (list(unitary_group_enumerate(basis, p)), searches[-1].nodes))
+        got = _outcome(lambda: (list(unitary_group_enumerate(basis, p)), searches[-1]))
         expected = _outcome(lambda: _per_candidate_enumerate(basis))
         if isinstance(expected[0], type):
             assert got == expected, name
             kinds.add("raises")
             continue
-        (units, nodes), (ref_units, ref_nodes) = got, expected
-        assert nodes == ref_nodes, name
+        (units, search), (ref_units, _) = got, expected
+        assert search.work == search.svds + search.paths, name
         assert ([(u.perm, u.phase_dim) for u in units]
                 == [(u.perm, u.phase_dim) for u in ref_units]), name
         assert all(np.max(np.abs(np.subtract(u.phases, v.phases))) <= 1e-12

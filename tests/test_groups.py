@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given
@@ -131,7 +132,9 @@ def light_verdict(table, identity):
     return True
 
 
-def test_light_test_agrees_with_the_triple_oracle():
+def light_cases():
+    """(table, identity) of groups and of Latin squares with identity, most
+    of them not associative, each relabelled by random.Random(20)."""
     rng = random.Random(20)
     small = [g for _, g in zoo() if 5 <= g.order <= 8]
     z2 = make_cyclic(2)
@@ -148,12 +151,51 @@ def test_light_test_agrees_with_the_triple_oracle():
     # come from reduced Latin squares: all 56 of order 5, the first 40 of order 7
     cases += [(t, 0) for t in reduced_latin_squares(5)]
     cases += [(t, 0) for t in itertools.islice(reduced_latin_squares(7), 40)]
-    verdicts = []
-    for table, identity in cases:
-        names = rng.sample(range(len(table)), len(table))
-        verdicts.append(light_verdict(*renamed(table, identity, names)))
     assert {len(t) for t, _ in cases} >= {5, 6, 7, 8, 24, 32}
+    return [renamed(table, identity, rng.sample(range(len(table)), len(table)))
+            for table, identity in cases]
+
+
+def test_light_test_agrees_with_the_triple_oracle():
+    verdicts = [light_verdict(table, identity) for table, identity in light_cases()]
     assert True in verdicts and False in verdicts
+
+
+def generating_sequence_from_scratch(table, identity):
+    """The greedy generating sequence, each closure rebuilt from the whole
+    generated set by products of all its pairs until nothing new appears."""
+    gens, generated = [], {identity}
+    for x in range(len(table)):
+        if x not in generated:
+            gens.append(x)
+            generated.add(x)
+            while True:
+                grown = generated | {table[a][b] for a in generated for b in generated}
+                if grown == generated:
+                    break
+                generated = grown
+    return gens
+
+
+def test_incremental_closure_matches_the_rebuilt_one():
+    z2 = make_cyclic(2)
+    z2_7 = z2
+    for _ in range(6):
+        z2_7 = make_direct_product(z2_7, z2)
+    groups = [g for _, g in zoo()] + [
+        make_symmetric(4), make_dihedral(64), z2_7,
+        make_direct_product(make_quaternion(), make_cyclic(16))]
+    loops = light_cases()
+    assert not all(associative_by_triples(table) for table, _ in loops)
+    # Latin squares that fail associativity cannot be a FiniteGroup, so every
+    # table is handed over as a stand-in with the same fields
+    lengths = set()
+    for table, identity in [(g.table, g.identity) for g in groups] + loops:
+        stand_in = types.SimpleNamespace(order=len(table), table=table, identity=identity)
+        gens = generating_sequence(stand_in)
+        assert gens == generating_sequence_from_scratch(table, identity)
+        lengths.add(len(gens))
+    assert max(lengths) == 7
 
 
 def test_dihedral_matches_permutation_representation():

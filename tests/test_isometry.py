@@ -284,6 +284,27 @@ def test_accepted_perturbations_change_no_sampled_norm_beyond_tol(cf, log_scale,
         assert abs(vector_norm(op.apply(xi), ctx) - before) <= (DECOMPOSE_TOL + 1e-14) * before
 
 
+def _stretched_atom(scale):
+    """diag(scale, 1) on two atoms of counting measure at p = 3."""
+    ctx = LpContext(FiniteMeasureAlgebra((1.0, 1.0)), 3.0)
+    return Operator(ctx, np.diag([scale, 1.0]))
+
+
+def test_tol_governs_the_phase_moduli():
+    # diag(1 + 5e-7, 1) changes no norm by more than 5e-7 of itself: a tol
+    # of 1e-6 accepts it, with its phases at the nearest unimodular values
+    form = lamperti_decompose(_stretched_atom(1.0 + 5e-7), tol=1e-6)
+    assert form.phi.perm == (0, 1) and form.f.values == (1.0 + 0j, 1.0 + 0j)
+    with pytest.raises(NotIsometry, match="Riesz-Thorin bound"):
+        lamperti_decompose(_stretched_atom(1.0 + 5e-7))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6, 0.5, 0.999, 1.0, 1.5, 2.0, 10.0])
+def test_a_doubled_atom_is_refused_at_every_tol(tol):
+    with pytest.raises(NotIsometry):
+        lamperti_decompose(_stretched_atom(2.0), tol=tol)
+
+
 def test_tol_zero_refuses_exact_forms():
     # the first 300 forms of criterion 3 at seed 0: roundoff is never proved away
     rng = _rng(0, 3)
