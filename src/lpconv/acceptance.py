@@ -342,7 +342,9 @@ def criterion_8(seed: int) -> CriterionResult:
 
     For 20 random span elements per group the p -> p sandwich and the
     transpose's p' -> p' sandwich bracket the same norm, so they must
-    overlap, and the transpose must reverse products entrywise.
+    overlap, and the transpose must reverse products entrywise. The overlap
+    only sees errors as wide as the sandwiches, so each lower bound must
+    also be attained by its witness, recomputed here with plain numpy.
     """
     rng = _rng(seed, 8)
     failures = []
@@ -351,17 +353,22 @@ def criterion_8(seed: int) -> CriterionResult:
         lam = [left_regular(ctx, s).matrix for s in range(g.order)]
         ctx_p, ctx_q = ctx.lp_context(), ConvolutionContext(g, 1.5).lp_context()
         group_rng = np.random.default_rng(int(rng.integers(2**31)))
-        gap = reversal = 0.0
+        gap = reversal = drift = 0.0
         for _ in range(20):
             a = _span_element(group_rng, lam)
             est_p = pnorm_estimate(a, ctx_p, starts=4, seed=int(group_rng.integers(2**31)))
             # the view a.T, not a copy: the engine's products follow memory layout
             est_q = pnorm_estimate(a.T, ctx_q, starts=4, seed=int(group_rng.integers(2**31)))
             gap = max(gap, max(est_p.lower, est_q.lower) - min(est_p.upper, est_q.upper))
+            for m, p, est in ((a, ctx_p.p, est_p), (a.T, ctx_q.p, est_q)):
+                attained = np.linalg.norm(m @ est.witness, p) / np.linalg.norm(est.witness, p)
+                drift = max(drift, abs(est.lower - attained) / attained)
             b = _span_element(group_rng, lam)
             reversal = max(reversal, float(np.max(np.abs((a @ b).T - b.T @ a.T))))
         if gap > 2e-6:
             failures.append(f"{name}: overlap gap {gap}")
+        if drift > 1e-12:
+            failures.append(f"{name}: lower bound off its witness by {drift}")
         if reversal > 1e-13:
             failures.append(f"{name}: product reversal {reversal}")
         verdict = decide_isomorphism(

@@ -5,7 +5,8 @@ identity index. Construction validates the full set of axioms (Latin
 square, identity, and associativity by Light's test on at most log2(order)
 generators, see FiniteGroup; two-sided inverses follow), so any
 FiniteGroup instance can be trusted downstream. Isomorphism testing is exact
-backtracking over generator images with element-order pruning.
+backtracking over generator images, each checked on the Cayley-graph edges
+and pruned by per-element class keys (order, centralizer size, square roots).
 """
 
 from __future__ import annotations
@@ -73,9 +74,6 @@ class FiniteGroup:
             x = self.table[x][a]
             k += 1
         return k
-
-    def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(a) for a in range(self.order)))
 
 
 @dataclass(frozen=True)
@@ -231,77 +229,63 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
+def _class_keys(g: FiniteGroup) -> list[tuple[int, int, int]]:
+    """Each element's order, centralizer size and number of square roots,
+    read off the table in O(order^2). An isomorphism preserves all three."""
+    t = g.table
+    roots = [0] * g.order
+    for y in range(g.order):
+        roots[t[y][y]] += 1
+    return [(g.element_order(x), sum(a == b for a, b in zip(row, col)), roots[x])
+            for x, (row, col) in enumerate(zip(t, zip(*t)))]
+
+
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> GroupIso | None:
     """Exact isomorphism search; returns a witness or None.
 
-    Prunes by order and element-order profile, then backtracks over images
-    of a generating sequence. Every partial assignment is closed under
-    products as it grows, so a completed assignment is already verified to
-    be multiplicative on all pairs.
+    The sorted class keys (_class_keys) must agree. Then it backtracks over
+    images y1, y2, ... of g's generating sequence x1, x2, ...: y = x first,
+    so that a group against itself gets the identity witness, then
+    ascending, among the unused elements with x's key. The images fix
+    one map on <x1..xi>, with f(e) = e and f(a xj) = f(a) yj along every
+    Cayley-graph edge. A choice is kept exactly when that map is well
+    defined and injective; by induction on word length it is then a
+    homomorphism, so a completed map is an isomorphism.
     """
     if g.order > ISO_BUDGET or h.order > ISO_BUDGET:
         raise BudgetError(f"isomorphism search capped at order {ISO_BUDGET}")
     if g.order != h.order:
         return None
-    if g.order_profile() != h.order_profile():
+    keys_g, keys_h = _class_keys(g), _class_keys(h)
+    if sorted(keys_g) != sorted(keys_h):
         return None
-
-    n = g.order
-    orders_g = [g.element_order(x) for x in range(n)]
-    orders_h = [h.element_order(x) for x in range(n)]
     gens = generating_sequence(g)
-    mapping = [-1] * n
-    used = [False] * n
 
-    def place(x, y, trail):
-        mapping[x] = y
-        used[y] = True
-        trail.append((x, y))
-        queue = [(x, y)]
-        while queue:
-            a, fa = queue.pop()
-            for b in range(n):
-                fb = mapping[b]
-                if fb < 0:
-                    continue
-                for u, v in ((g.table[a][b], h.table[fa][fb]),
-                             (g.table[b][a], h.table[fb][fa])):
-                    fu = mapping[u]
-                    if fu == v:
-                        continue
-                    if fu >= 0 or used[v]:
-                        return False
-                    mapping[u] = v
-                    used[v] = True
-                    trail.append((u, v))
-                    queue.append((u, v))
-        return True
-
-    def undo(trail):
-        for x, y in trail:
-            mapping[x] = -1
-            used[y] = False
-
-    def search(i):
-        if i == len(gens):
-            return all(m >= 0 for m in mapping)
-        x = gens[i]
-        if mapping[x] >= 0:
-            return search(i + 1)
-        # try y == x first so that identical groups get the identity witness
-        candidates = sorted(range(n), key=lambda y: (y != x, y))
-        for y in candidates:
-            if used[y] or orders_h[y] != orders_g[x]:
-                continue
-            trail: list[tuple[int, int]] = []
-            if place(x, y, trail) and search(i + 1):
-                return True
-            undo(trail)
-        return False
-
-    trail0: list[tuple[int, int]] = []
-    if not place(g.identity, h.identity, trail0):
+    def search(images):
+        mapping = [-1] * g.order
+        mapping[g.identity] = h.identity
+        image = {h.identity}
+        queue = [g.identity]
+        edges = list(zip(gens, images))
+        for a in queue:  # breadth first over the Cayley graph of <gens[:len(images)]>
+            row_a, row_fa = g.table[a], h.table[mapping[a]]
+            for x, y in edges:
+                b, fb = row_a[x], row_fa[y]
+                if mapping[b] < 0 and fb not in image:
+                    mapping[b] = fb
+                    image.add(fb)
+                    queue.append(b)
+                elif mapping[b] != fb:
+                    return None  # not well defined, or not injective
+        if len(images) == len(gens):
+            return mapping
+        x = gens[len(images)]
+        for y in sorted(range(h.order), key=lambda y: (y != x, y)):
+            if keys_h[y] == keys_g[x] and y not in image:
+                found = search(images + [y])
+                if found is not None:
+                    return found
         return None
-    if not search(0):
-        return None
-    return GroupIso(g, h, tuple(mapping))
+
+    mapping = search([])
+    return None if mapping is None else GroupIso(g, h, tuple(mapping))

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpconv.errors import BudgetError
-from lpconv.groups import (FiniteGroup, GroupIso, generating_sequence,
-                           is_isomorphic, make_cyclic, make_dihedral,
-                           make_direct_product, make_quaternion,
-                           make_symmetric, zoo)
+from lpconv import groups
+from lpconv.groups import (FiniteGroup, GroupIso, _class_keys,
+                           generating_sequence, is_isomorphic, make_cyclic,
+                           make_dihedral, make_direct_product,
+                           make_quaternion, make_symmetric, zoo)
 
 
 def oracle_iso(g, h):
@@ -31,6 +32,99 @@ def oracle_iso(g, h):
                for a in range(n) for b in range(n)):
             return tuple(m)
     return None
+
+
+def sorted_orders(g):
+    return tuple(sorted(g.element_order(x) for x in range(g.order)))
+
+
+def closure_oracle(g, h):
+    """The isomorphism search as it was before the Cayley-edge rule: each
+    generator image is placed and the partial map closed under all pairwise
+    products, with a trail to undo it; candidates are pruned by element
+    order. Returns the mapping or None."""
+    if g.order != h.order or sorted_orders(g) != sorted_orders(h):
+        return None
+    n = g.order
+    orders_g = [g.element_order(x) for x in range(n)]
+    orders_h = [h.element_order(x) for x in range(n)]
+    gens = generating_sequence(g)
+    mapping = [-1] * n
+    used = [False] * n
+
+    def place(x, y, trail):
+        mapping[x] = y
+        used[y] = True
+        trail.append((x, y))
+        queue = [(x, y)]
+        while queue:
+            a, fa = queue.pop()
+            for b in range(n):
+                fb = mapping[b]
+                if fb < 0:
+                    continue
+                for u, v in ((g.table[a][b], h.table[fa][fb]),
+                             (g.table[b][a], h.table[fb][fa])):
+                    fu = mapping[u]
+                    if fu == v:
+                        continue
+                    if fu >= 0 or used[v]:
+                        return False
+                    mapping[u] = v
+                    used[v] = True
+                    trail.append((u, v))
+                    queue.append((u, v))
+        return True
+
+    def undo(trail):
+        for x, y in trail:
+            mapping[x] = -1
+            used[y] = False
+
+    def search(i):
+        if i == len(gens):
+            return all(m >= 0 for m in mapping)
+        x = gens[i]
+        for y in sorted(range(n), key=lambda y: (y != x, y)):
+            if used[y] or orders_h[y] != orders_g[x]:
+                continue
+            trail = []
+            if place(x, y, trail) and search(i + 1):
+                return True
+            undo(trail)
+        return False
+
+    place(g.identity, h.identity, [])
+    return tuple(mapping) if search(0) else None
+
+
+def semidirect_z4_z4():
+    """Z4 x| Z4 with Z4 acting by inversion: (a, b)(c, d) = (a + (-1)^b c,
+    b + d) mod 4, element (a, b) at index 4a + b."""
+    def compose(x, y):
+        (a, b), (c, d) = divmod(x, 4), divmod(y, 4)
+        return (a + (-1) ** b * c) % 4 * 4 + (b + d) % 4
+
+    return FiniteGroup(16, tuple(tuple(compose(x, y) for y in range(16))
+                                 for x in range(16)), 0)
+
+
+def order_64_pairs():
+    """Two pairs that share their element-order profile but are not
+    isomorphic: Z4xZ4xZ2^2 and Z2xQ8xZ2^2, each against (Z4 x| Z4)xZ2^2."""
+    z2 = make_cyclic(2)
+    z2_2 = make_direct_product(z2, z2)
+    z4xz4 = make_direct_product(make_cyclic(4), make_cyclic(4))
+    z2xq8 = make_direct_product(z2, make_quaternion())
+    target = make_direct_product(semidirect_z4_z4(), z2_2)
+    return [(make_direct_product(g, z2_2), target) for g in (z4xz4, z2xq8)]
+
+
+def orders_only(monkeypatch):
+    """Cut the class keys down to element orders, so that the pre-check and
+    the candidate filter pass what the backtracking must refuse."""
+    monkeypatch.setattr(groups, "_class_keys",
+                        lambda g: [g.element_order(x) for x in range(g.order)])
 
 
 def test_cyclic_trivial():
@@ -219,7 +313,7 @@ def test_quaternion_structure():
     q8 = make_quaternion()
     assert q8.order == 8
     assert q8.table != tuple(zip(*q8.table))  # not abelian
-    assert q8.order_profile() == (1, 2, 4, 4, 4, 4, 4, 4)
+    assert sorted_orders(q8) == (1, 2, 4, 4, 4, 4, 4, 4)
     minus_one = 4
     assert all(q8.mul(x, x) == minus_one for x in (1, 2, 3))
 
@@ -232,7 +326,7 @@ def test_direct_product_with_trivial_is_isomorphic_copy():
 
 def test_klein_four_elements_are_involutions():
     klein = make_direct_product(make_cyclic(2), make_cyclic(2))
-    assert klein.order_profile() == (1, 2, 2, 2)
+    assert sorted_orders(klein) == (1, 2, 2, 2)
 
 
 def test_symmetric_budget():
@@ -313,14 +407,85 @@ def relabel(g, names):
     return FiniteGroup(g.order, *renamed(g.table, g.identity, names))
 
 
-def test_equal_order_profiles_without_an_isomorphism():
-    # both have 3 involutions and 12 elements of order 4, so the profile
-    # passes them on and only the backtracking search can refuse
+def test_equal_order_profiles_without_an_isomorphism(monkeypatch):
+    # both have 3 involutions and 12 elements of order 4; with the keys cut
+    # down to orders, only the backtracking search can refuse them
+    orders_only(monkeypatch)
     z4xz4 = make_direct_product(make_cyclic(4), make_cyclic(4))
     q8xz2 = make_direct_product(make_quaternion(), make_cyclic(2))
-    assert z4xz4.order_profile() == q8xz2.order_profile()
+    assert sorted_orders(z4xz4) == sorted_orders(q8xz2)
     assert is_isomorphic(z4xz4, q8xz2) is None
     assert is_isomorphic(q8xz2, z4xz4) is None
+
+
+def test_search_alone_refuses_the_order_64_pairs(monkeypatch):
+    # one direction each: with orders only, every branch is tried, about 2 s a pair
+    orders_only(monkeypatch)
+    for g, h in order_64_pairs():
+        assert sorted_orders(g) == sorted_orders(h)
+        assert is_isomorphic(h, g) is None
+
+
+def test_class_keys_count_centralizers_and_square_roots():
+    for g in [make_symmetric(4), make_direct_product(make_quaternion(), make_cyclic(4)),
+              make_direct_product(semidirect_z4_z4(), make_cyclic(2))]:
+        n = g.order
+        assert _class_keys(g) == [
+            (g.element_order(x), sum(g.mul(x, y) == g.mul(y, x) for y in range(n)),
+             sum(g.mul(y, y) == x for y in range(n))) for x in range(n)]
+
+
+def test_class_keys_refuse_the_order_64_pairs(monkeypatch):
+    # the sorted keys refuse both pairs before any search starts
+    def no_search(g):
+        raise AssertionError("searched a pair whose class keys differ")
+
+    pairs = order_64_pairs()
+    monkeypatch.setattr(groups, "generating_sequence", no_search)
+    for g, h in pairs:
+        assert sorted(_class_keys(g)) != sorted(_class_keys(h))
+        assert is_isomorphic(g, h) is None
+        assert is_isomorphic(h, g) is None
+
+
+def oracle_pairs():
+    """Every ordered pair of zoo groups; then each zoo group and D12, Z4xZ8,
+    Q8xZ4, S4xZ2, Q8xZ8, Z64, D32, Z2^6, S4 and D8xZ2 against two
+    relabellings of itself, both ways."""
+    rng = random.Random(23)
+    z2 = make_cyclic(2)
+    z2_6 = z2
+    for _ in range(5):
+        z2_6 = make_direct_product(z2_6, z2)
+    q8 = make_quaternion()
+    zoo_groups = [g for _, g in zoo()]
+    pairs = list(itertools.product(zoo_groups, repeat=2))
+    for g in zoo_groups + [
+            make_dihedral(12), make_direct_product(make_cyclic(4), make_cyclic(8)),
+            make_direct_product(q8, make_cyclic(4)),
+            make_direct_product(make_symmetric(4), z2),
+            make_direct_product(q8, make_cyclic(8)), make_cyclic(64),
+            make_dihedral(32), z2_6, make_symmetric(4),
+            make_direct_product(make_dihedral(8), z2)]:
+        for _ in range(2):
+            h = relabel(g, rng.sample(range(g.order), g.order))
+            pairs += [(g, h), (h, g)]
+    return pairs
+
+
+def test_cayley_rule_matches_the_closure_oracle():
+    pairs = oracle_pairs()
+    found = [is_isomorphic(g, h) for g, h in pairs]
+    assert None in found and len(pairs) > 250
+    for (g, h), w in zip(pairs, found):
+        assert (None if w is None else w.mapping) == closure_oracle(g, h)
+
+
+def test_cayley_rule_with_orders_only_matches_the_closure_oracle(monkeypatch):
+    orders_only(monkeypatch)
+    for g, h in oracle_pairs():
+        w = is_isomorphic(g, h)
+        assert (None if w is None else w.mapping) == closure_oracle(g, h)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -338,12 +503,37 @@ def test_witness_validation_rejects_non_homomorphism():
         GroupIso(z4, z4, (0, 2, 1, 3))
 
 
+SMALL_MAKERS = [
+    lambda: make_cyclic(32), lambda: make_dihedral(12), lambda: make_dihedral(16),
+    lambda: make_symmetric(4), make_quaternion,
+    lambda: make_direct_product(make_cyclic(4), make_cyclic(8)),
+    lambda: make_direct_product(make_quaternion(), make_cyclic(4)),
+    lambda: make_direct_product(make_dihedral(8), make_cyclic(2)),
+    lambda: make_direct_product(make_dihedral(4), make_cyclic(4)),
+    lambda: make_direct_product(make_direct_product(make_cyclic(2), make_cyclic(2)),
+                                make_direct_product(make_cyclic(2), make_cyclic(4))),
+    lambda: make_direct_product(make_symmetric(3), make_cyclic(5)),
+]
+
+
+@given(st.sampled_from(SMALL_MAKERS), st.data())
+def test_relabeled_copies_pass_the_key_filter(make, data):
+    g = make()
+    names = data.draw(st.permutations(range(g.order)))
+    h = relabel(g, names)
+    witness = is_isomorphic(g, h)
+    assert witness is not None
+    GroupIso(g, h, witness.mapping)  # validates the map
+    keys_g, keys_h = _class_keys(g), _class_keys(h)
+    assert all(keys_h[names[x]] == keys_g[x] for x in range(g.order))
+
+
 @given(st.integers(min_value=1, max_value=12))
 def test_cyclic_generated_by_one_element(n):
     g = make_cyclic(n)
     gens = generating_sequence(g)
     assert len(gens) <= 1
-    assert g.order_profile()[-1] == n
+    assert sorted_orders(g)[-1] == n
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))

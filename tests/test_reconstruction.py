@@ -25,6 +25,10 @@ def klein():
     return make_direct_product(make_cyclic(2), make_cyclic(2))
 
 
+def sorted_orders(g):
+    return tuple(sorted(g.element_order(x) for x in range(g.order)))
+
+
 def relabel(g, rng):
     """An isomorphic copy of g with scrambled element labels."""
     sigma = list(rng.permutation(g.order))
@@ -281,7 +285,7 @@ def test_components_refuse_more_classes_than_the_table_budget(monkeypatch):
     # table over TABLE_BUDGET (128) is built
     rec = recover_group(full_matrix_algebra(5), 3.0)
     assert rec.group.order == 120
-    assert rec.group.order_profile() == make_symmetric(5).order_profile()
+    assert sorted_orders(rec.group) == sorted_orders(make_symmetric(5))
 
     def refuse(*args):
         raise AssertionError("built a component table over the budget")
