@@ -344,7 +344,10 @@ def criterion_8(seed: int) -> CriterionResult:
     transpose's p' -> p' sandwich bracket the same norm, so they must
     overlap, and the transpose must reverse products entrywise. The overlap
     only sees errors as wide as the sandwiches, so each lower bound must
-    also be attained by its witness, recomputed here with plain numpy.
+    also be attained by its witness, and each upper bound, a Schur test on
+    the majorant |M|, must reach the majorant's Rayleigh quotient at the
+    all-ones vector, ||(|M| 1)||_p / ||1||_p; both are recomputed here with
+    plain numpy. For a span element of a group the two are equal.
     """
     rng = _rng(seed, 8)
     failures = []
@@ -353,7 +356,7 @@ def criterion_8(seed: int) -> CriterionResult:
         lam = [left_regular(ctx, s).matrix for s in range(g.order)]
         ctx_p, ctx_q = ctx.lp_context(), ConvolutionContext(g, 1.5).lp_context()
         group_rng = np.random.default_rng(int(rng.integers(2**31)))
-        gap = reversal = drift = 0.0
+        gap = reversal = drift = shortfall = 0.0
         for _ in range(20):
             a = _span_element(group_rng, lam)
             est_p = pnorm_estimate(a, ctx_p, starts=4, seed=int(group_rng.integers(2**31)))
@@ -363,12 +366,18 @@ def criterion_8(seed: int) -> CriterionResult:
             for m, p, est in ((a, ctx_p.p, est_p), (a.T, ctx_q.p, est_q)):
                 attained = np.linalg.norm(m @ est.witness, p) / np.linalg.norm(est.witness, p)
                 drift = max(drift, abs(est.lower - attained) / attained)
+                ones = np.ones(len(m))
+                floor = np.linalg.norm(np.abs(m) @ ones, p) / np.linalg.norm(ones, p)
+                shortfall = max(shortfall, (floor - est.upper) / floor)
             b = _span_element(group_rng, lam)
             reversal = max(reversal, float(np.max(np.abs((a @ b).T - b.T @ a.T))))
         if gap > 2e-6:
             failures.append(f"{name}: overlap gap {gap}")
         if drift > 1e-12:
             failures.append(f"{name}: lower bound off its witness by {drift}")
+        if shortfall > 1e-12:
+            failures.append(f"{name}: upper bound under the majorant's all-ones quotient "
+                            f"by {shortfall}")
         if reversal > 1e-13:
             failures.append(f"{name}: product reversal {reversal}")
         verdict = decide_isomorphism(

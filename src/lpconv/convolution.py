@@ -149,19 +149,24 @@ def _frame(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(flat, full_matrices=False)
 
 
+def _products_on_frame(products: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, float]:
+    """Frame coordinates (row b) of a fresh stack of k products m B_b, which
+    it overwrites, and the largest modulus they leave off the frame vh."""
+    prod = products.reshape(len(products), -1)
+    # prod @ vh^H without a conjugated copy of vh
+    coords = (np.conj(prod, out=prod) @ vh.T).conj()
+    np.conj(prod, out=prod)
+    prod -= coords @ vh
+    return coords, float(np.max(np.abs(prod)))
+
+
 def _check_closure_by_pairs(stacked: np.ndarray, vh: np.ndarray) -> None:
     """Project every product of two basis matrices onto the frame vh.
 
-    One left factor at a time, so only k products are held at once.
+    One left factor a at a time, so only the k products a B_b are held.
     """
-    k = len(stacked)
-    vh_adj = vh.conj().T
-    resids = []
-    for a in stacked:
-        prod = (a @ stacked).reshape(k, -1)
-        resids.append(np.max(np.abs(prod - (prod @ vh_adj) @ vh)))
     # np.max keeps a NaN (products that overflowed), where max() would drop it
-    err = float(np.max(resids))
+    err = float(np.max([_products_on_frame(a @ stacked, vh)[1] for a in stacked]))
     if not err < 1e-9:
         raise ValueError(f"basis is not closed under products (residual {err:.3e})")
 
@@ -175,11 +180,10 @@ def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
     library's random.Random(0), scaled to modulus at most one; the proof
     holds for any coefficients, and the standard library's generator keeps
     numpy.random out of a process that only validates. Checking r_i S in S
-    takes 2k products r_i F_m with the frame matrices F_m (the rows of vh),
-    and the residuals they leave off the frame, turned into an upper bound
-    on those of the products r_i B_b with the basis (the pairwise check's
-    units), must stay under a thousandth of its 1e-9 bound. The algebra r1
-    and r2 generate is then grown from the identity, block by block: the
+    takes the 2k products r_i B_b with the basis, projected as the pairwise
+    check projects its products, and the largest residual they leave off
+    the frame must stay under a thousandth of its 1e-9 bound. The algebra
+    r1 and r2 generate is then grown from the identity, block by block: the
     newest orthonormal vectors are multiplied by each r_i (as k x k actions
     on frame coordinates) and orthogonalised against those found so far. If
     it reaches dimension k, then 1 in S and r_i S in S give alg(r1, r2) = S,
@@ -187,23 +191,18 @@ def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
     a smaller algebra (two elements need not generate a non-semisimple one).
     """
     k, n, _ = stacked.shape
-    frame = vh.reshape(k, n, n)
     rng = random.Random(0)
     coef = np.array([[rng.gauss(0.0, 1.0) for _ in range(k)] for _ in range(2)])
     coef /= np.max(np.abs(coef), axis=1, keepdims=True)
-    actions = []
-    # B_b = sum_m (u s)[b, m] F_m, so a residual of r_i F_m times the largest
-    # row sum of |u s| bounds the residuals of r_i B_b from above
-    weight = float(np.max(np.abs(u) @ s))
+    on_frame = []
     for c in coef:
-        prod = (np.tensordot(c, stacked, axes=1) @ frame).reshape(k, -1)
-        # row m of the action: r_i F_m on the frame, prod @ vh^H without a conjugated copy
-        action = (np.conj(prod, out=prod) @ vh.T).conj()
-        np.conj(prod, out=prod)
-        prod -= action @ vh
-        if not weight * float(np.max(np.abs(prod))) < 1e-12:  # NaN accepts nothing
+        coords, resid = _products_on_frame(np.tensordot(c, stacked, axes=1) @ stacked, vh)
+        if not resid < 1e-12:  # NaN accepts nothing
             return False
-        actions.append(action)
+        on_frame.append(coords)
+    # the basis is u diag(s) F, so row m of the action, r_i F_m on the frame,
+    # is row m of diag(1/s) u^H coords
+    actions = [(u.conj().T @ coords) / s[:, None] for coords in on_frame]
     gap = 1e-8 * max(np.linalg.norm(a, 2) for a in actions)
     one = (vh @ np.eye(n, dtype=complex).reshape(-1)).conj()  # the identity is real
     found = newest = (one / np.linalg.norm(one))[None, :]

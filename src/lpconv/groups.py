@@ -12,13 +12,15 @@ and pruned by per-element class keys (order, centralizer size, square roots).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetError
 
 ISO_BUDGET = 64
-SYMMETRIC_BUDGET = 5
 TABLE_BUDGET = 128
+# the largest n whose symmetric group fits the table budget
+SYMMETRIC_BUDGET = next(n for n in itertools.count(1) if math.factorial(n + 1) > TABLE_BUDGET)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,11 @@ def _closure_cases():
               make_direct_product(make_quaternion(), make_cyclic(8))):
         basis, _ = _hidden_presentation(g, np.random.default_rng(g.order))
         cases.append((f"hidden order {g.order}", basis.elements, True, True))
+    # mixed by a complex Gaussian matrix, the basis's scale spreads over the
+    # singular values (condition 42 at order 24 and 133 at 64)
+    for g in (make_dihedral(12), make_direct_product(make_quaternion(), make_cyclic(8))):
+        mats, _ = _presentation(g, np.random.default_rng(g.order), _gaussian(g.order, g.order))
+        cases.append((f"gaussian-mixed order {g.order}", mats, True, True))
     for n in (2, 3, 4):
         upper = [_unit(n, i, j) for i in range(n) for j in range(i, n)]
         cases.append((f"upper triangular {n}", upper, True, True))
@@ -258,11 +263,34 @@ def test_closure_routes_agree():
         with expected:
             stacked = np.stack([np.asarray(m, dtype=complex) for m in mats])
             k, n, _ = stacked.shape
-            u, s, vh = np.linalg.svd(stacked.reshape(k, -1), full_matrices=False)
+            u, s, vh = _frame(stacked.reshape(k, -1))
             full = _rejection(_check_closure_by_pairs, stacked, vh)
             assert (full is None) == closed, name
             assert _rejection(AlgebraBasis, n, 3.0, tuple(mats)) == full, name
             assert _closed_by_two_generators(stacked, u, s, vh) == fast, name
+
+
+@pytest.mark.parametrize("group", [make_dihedral(12),
+                                   make_direct_product(make_quaternion(), make_cyclic(4))],
+                         ids=["D12", "Q8xZ4"])
+def test_two_generator_route_never_accepts_what_the_pairs_reject(group):
+    # noise of 1e-13 to 1e-8 on one basis matrix walks the residuals across
+    # both routes' bounds, on orthogonally and Gaussian-mixed presentations;
+    # without noise both routes accept, and at 1e-8 both reject
+    n = group.order
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for mix in (None, _gaussian(n, n + 1)):
+        stacked, _ = _presentation(group, rng, mix)
+        for scale in (0.0, *np.geomspace(1e-13, 1e-8, 11)):
+            noisy = stacked.copy()
+            noisy[1] += scale * rng.standard_normal((n, n))
+            u, s, vh = _frame(noisy.reshape(n, -1))
+            closed = _rejection(_check_closure_by_pairs, noisy, vh) is None
+            fast = _closed_by_two_generators(noisy, u, s, vh)
+            assert closed or not fast, (mix is None, scale)
+            verdicts.add((closed, fast))
+    assert {(True, True), (False, False)} <= verdicts
 
 
 def _record_searches(monkeypatch):
@@ -339,6 +367,12 @@ def _hidden_presentation(g, rng):
     """_presentation's orthogonally mixed stack as a basis, and its supports."""
     mats, supports = _presentation(g, rng)
     return AlgebraBasis(g.order, 3.0, tuple(mats)), supports
+
+
+def _gaussian(n, seed):
+    """A complex Gaussian n x n matrix from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def _conditioned(n, rng, cond):
