@@ -67,8 +67,8 @@ class AlgebraBasis:
 
     Validation keeps an SVD u diag(s) vh of the stacked, flattened matrices,
     built by _frame from their k x k Gram matrix: the rows of vh are an
-    orthonormal frame of the span, which membership tests and the isometry
-    search read instead of factoring the stack again.
+    orthonormal frame of the span, which membership tests, the closure
+    checks and the isometry search read instead of the stack.
     """
 
     n: int
@@ -87,6 +87,8 @@ class AlgebraBasis:
                 raise ValueError(f"basis matrices must be {self.n} x {self.n}")
         k = len(mats)
         stacked = np.array(mats, dtype=complex)
+        if not np.all(np.isfinite(stacked)):
+            raise ValueError("basis matrices must be finite")
         stacked.setflags(write=False)
         object.__setattr__(self, "elements", tuple(stacked))
         u, s, vh = _frame(stacked.reshape(k, -1))
@@ -103,8 +105,8 @@ class AlgebraBasis:
             raise ValueError("the span must contain the identity")
         # the two-generator route can only accept; the pairwise check decides
         # the rest and owns the 1e-9 bound and every rejection message
-        if not _closed_by_two_generators(stacked, u, s, vh):
-            _check_closure_by_pairs(stacked, vh)
+        if not _closed_by_two_generators(vh, self.n):
+            _check_closure_by_pairs(vh, self.n)
 
     @property
     def dimension(self) -> int:
@@ -150,59 +152,57 @@ def _frame(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _products_on_frame(products: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, float]:
-    """Frame coordinates (row b) of a fresh stack of k products m B_b, which
-    it overwrites, and the largest modulus they leave off the frame vh."""
+    """Frame coordinates (row b) of a fresh stack of products f F_b with the
+    frame's matrices, which it overwrites, and the Frobenius norm of what
+    they leave off the frame vh over the stack's. The stack is not zero for
+    f != 0: validation puts 1 in the span first, so f = f 1 is in its span."""
     prod = products.reshape(len(products), -1)
+    size = np.linalg.norm(prod)
     # prod @ vh^H without a conjugated copy of vh
     coords = (np.conj(prod, out=prod) @ vh.T).conj()
     np.conj(prod, out=prod)
     prod -= coords @ vh
-    return coords, float(np.max(np.abs(prod)))
+    return coords, float(np.linalg.norm(prod) / size)
 
 
-def _check_closure_by_pairs(stacked: np.ndarray, vh: np.ndarray) -> None:
-    """Project every product of two basis matrices onto the frame vh.
-
-    One left factor a at a time, so only the k products a B_b are held.
-    """
-    # np.max keeps a NaN (products that overflowed), where max() would drop it
-    err = float(np.max([_products_on_frame(a @ stacked, vh)[1] for a in stacked]))
-    if not err < 1e-9:
+def _check_closure_by_pairs(vh: np.ndarray, n: int) -> None:
+    """Project every product F_a F_b of two of the frame's n x n matrices
+    onto the frame vh, one left factor at a time, so only its k products
+    are held. The residual is relative, so the verdict depends on the span
+    alone, not on the basis that spans it or on its scale."""
+    frame = vh.reshape(-1, n, n)
+    err = max(_products_on_frame(a @ frame, vh)[1] for a in frame)
+    if err >= 1e-9:
         raise ValueError(f"basis is not closed under products (residual {err:.3e})")
 
 
-def _closed_by_two_generators(stacked: np.ndarray, u: np.ndarray, s: np.ndarray,
-                              vh: np.ndarray) -> bool:
+def _closed_by_two_generators(vh: np.ndarray, n: int) -> bool:
     """True when the span S is shown closed from two elements of it.
 
     Two pseudo-random elements r1, r2 of S must map S into S. Their
-    coefficients on the basis are Gaussian draws from the standard
-    library's random.Random(0), scaled to modulus at most one; the proof
-    holds for any coefficients, and the standard library's generator keeps
-    numpy.random out of a process that only validates. Checking r_i S in S
-    takes the 2k products r_i B_b with the basis, projected as the pairwise
-    check projects its products, and the largest residual they leave off
-    the frame must stay under a thousandth of its 1e-9 bound. The algebra
-    r1 and r2 generate is then grown from the identity, block by block: the
-    newest orthonormal vectors are multiplied by each r_i (as k x k actions
-    on frame coordinates) and orthogonalised against those found so far. If
-    it reaches dimension k, then 1 in S and r_i S in S give alg(r1, r2) = S,
-    so S is closed. False leaves the question open: a larger residual, or
-    a smaller algebra (two elements need not generate a non-semisimple one).
-    """
-    k, n, _ = stacked.shape
+    coordinates on the frame vh are Gaussian draws from the standard
+    library's random.Random(0); the proof holds for any coordinates, and
+    the standard library's generator keeps numpy.random out of a process
+    that only validates. The products r_i F_b are projected as the pairwise
+    check projects its products, their relative residual must stay under a
+    thousandth of its 1e-9 bound, and their coordinates (row b is r_i F_b)
+    are r_i's k x k action on the frame. The algebra r1 and r2 generate is
+    grown from the identity, block by block: the newest orthonormal vectors
+    are multiplied by each action and orthogonalised against those found
+    so far. If it reaches dimension k, then 1 in S and r_i S in S give
+    alg(r1, r2) = S, so S is closed. False leaves the question open: a
+    larger residual, or a smaller algebra (two elements need not generate a
+    non-semisimple one)."""
+    k = len(vh)
+    frame = vh.reshape(k, n, n)
     rng = random.Random(0)
-    coef = np.array([[rng.gauss(0.0, 1.0) for _ in range(k)] for _ in range(2)])
-    coef /= np.max(np.abs(coef), axis=1, keepdims=True)
-    on_frame = []
-    for c in coef:
-        coords, resid = _products_on_frame(np.tensordot(c, stacked, axes=1) @ stacked, vh)
-        if not resid < 1e-12:  # NaN accepts nothing
+    actions = []
+    for _ in range(2):
+        r = np.tensordot([rng.gauss(0.0, 1.0) for _ in range(k)], frame, axes=1)
+        coords, resid = _products_on_frame(r @ frame, vh)
+        if resid >= 1e-12:
             return False
-        on_frame.append(coords)
-    # the basis is u diag(s) F, so row m of the action, r_i F_m on the frame,
-    # is row m of diag(1/s) u^H coords
-    actions = [(u.conj().T @ coords) / s[:, None] for coords in on_frame]
+        actions.append(coords)
     gap = 1e-8 * max(np.linalg.norm(a, 2) for a in actions)
     one = (vh @ np.eye(n, dtype=complex).reshape(-1)).conj()  # the identity is real
     found = newest = (one / np.linalg.norm(one))[None, :]
