@@ -68,7 +68,13 @@ class AlgebraBasis:
     Validation keeps an SVD u diag(s) vh of the stacked, flattened matrices,
     built by _frame from their k x k Gram matrix: the rows of vh are an
     orthonormal frame of the span, which membership tests, the closure
-    checks and the isometry search read instead of the stack.
+    checks and the isometry search read instead of the stack. elements are
+    always complex; the frame is float64 when every imaginary part of the
+    stack is exactly zero and its Gram certifies it (a regular presentation,
+    or any real change of basis of one), and complex otherwise. Every later
+    product keeps the frame's dtype. Past condition 1e6 the frame's error,
+    about eps * cond, can exceed the 1e-9 bounds, so a refusal there says
+    that the frame cannot certify the span.
     """
 
     n: int
@@ -97,16 +103,21 @@ class AlgebraBasis:
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_vh", vh)
+        cond = float(s[0] / s[-1])
+        uncertified = f"at condition number {cond:.3e} the frame cannot certify that the span"
         if self.coordinates(np.eye(self.n)) is None:
-            cond = float(s[0] / s[-1])
-            if cond > 1e6:  # the frame's error, about eps * cond, can exceed the 1e-9 bound
-                raise ValueError(f"at condition number {cond:.3e} the frame cannot certify "
-                                 "that the span contains the identity")
-            raise ValueError("the span must contain the identity")
+            raise ValueError(f"{uncertified} contains the identity" if cond > 1e6
+                             else "the span must contain the identity")
         # the two-generator route can only accept; the pairwise check decides
-        # the rest and owns the 1e-9 bound and every rejection message
+        # the rest and owns the 1e-9 bound, and its message unless the frame
+        # cannot certify
         if not _closed_by_two_generators(vh, self.n):
-            _check_closure_by_pairs(vh, self.n)
+            try:
+                _check_closure_by_pairs(vh, self.n)
+            except ValueError:
+                if cond <= 1e6:
+                    raise
+                raise ValueError(f"{uncertified} is closed under products") from None
 
     @property
     def dimension(self) -> int:
@@ -116,12 +127,21 @@ class AlgebraBasis:
         """Coordinates of x on the basis, or None if x is outside the span.
 
         x is projected onto the orthonormal frame; the coordinates are read
-        off the projection through the stored SVD.
+        off the projection through the stored SVD. A real frame projects the
+        real and imaginary parts of x, the two columns of a real N x 2 view,
+        so it is never copied to complex.
         """
         target = np.asarray(x, dtype=complex).reshape(-1)
-        on_frame = (self._vh @ target.conj()).conj()
-        resid = float(np.max(np.abs(self._vh.T @ on_frame - target)))
-        if resid >= 1e-9 * max(1.0, float(np.max(np.abs(target)))):
+        vh = self._vh
+        if np.iscomplexobj(vh):
+            on_frame = (vh @ target.conj()).conj()
+            resid = vh.T @ on_frame - target
+        else:
+            parts = target.view(float).reshape(-1, 2)
+            pairs = vh @ parts
+            on_frame = pairs.view(complex)[:, 0]
+            resid = (vh.T @ pairs - parts).view(complex)[:, 0]
+        if float(np.max(np.abs(resid))) >= 1e-9 * max(1.0, float(np.max(np.abs(target)))):
             return None
         return self._u.conj() @ (on_frame / self._s)
 
@@ -133,17 +153,22 @@ def _frame(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014, with eigh in place
     of Cholesky, so a singular Gram cannot raise) write flat = r q with
     orthonormal rows q; the SVD of the small factor r then gives u, s and
-    vh = (right factor of r) q. A Gram whose eigenvalue ratio is at or below
-    1e-12 (condition 1e6 or more on the stack), or that overflows, cannot
-    certify the 1e-9 rank verdict, and the stack goes to np.linalg.svd.
+    vh = (right factor of r) q. A stack whose imaginary parts are all exactly
+    zero spans a real space, and the Gram route then runs on its contiguous
+    real part in float64, at about a quarter of the complex flops, and
+    returns a real SVD. A Gram whose eigenvalue ratio is at or below 1e-12
+    (condition 1e6 or more on the stack), or that overflows, cannot certify
+    the 1e-9 rank verdict, and the stack itself, complex or not, goes to
+    np.linalg.svd.
     """
+    stack = np.ascontiguousarray(flat.real) if not flat.imag.any() else flat
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow only routes to the SVD
-        gram = flat @ flat.conj().T
+        gram = stack @ stack.conj().T
     if np.all(np.isfinite(gram)):
         lam, w = np.linalg.eigh(gram)
         if lam[0] > 1e-12 * lam[-1]:
             root = np.sqrt(lam)
-            q = (w.conj().T / root[:, None]) @ flat  # flat = (w diag(root)) q
+            q = (w.conj().T / root[:, None]) @ stack  # stack = (w diag(root)) q
             lam2, w2 = np.linalg.eigh(q @ q.conj().T)
             root2 = np.sqrt(lam2)
             u, s, vr = np.linalg.svd((w * root) @ (w2 * root2))
@@ -204,7 +229,7 @@ def _closed_by_two_generators(vh: np.ndarray, n: int) -> bool:
             return False
         actions.append(coords)
     gap = 1e-8 * max(np.linalg.norm(a, 2) for a in actions)
-    one = (vh @ np.eye(n, dtype=complex).reshape(-1)).conj()  # the identity is real
+    one = (vh @ np.eye(n, dtype=vh.dtype).reshape(-1)).conj()  # the identity is real
     found = newest = (one / np.linalg.norm(one))[None, :]
     while len(newest) and len(found) < k:
         grown = np.concatenate([newest @ a for a in actions])
@@ -418,6 +443,6 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermut
     # the frame is whole: validation refused a basis whose stack has a
     # singular value at or below 1e-9 of the largest
     search = _PatternSearch(basis._vh, n)
-    search.descend(np.eye(basis.dimension, dtype=complex))
+    search.descend(np.eye(basis.dimension, dtype=basis._vh.dtype))
     identity = tuple(range(n))
     return tuple(sorted(search.found, key=lambda u: (u.perm != identity, u.perm)))

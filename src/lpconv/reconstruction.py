@@ -117,6 +117,9 @@ def decide_isomorphism(basis_a: AlgebraBasis, p: float,
     normed by the modulus at every exponent, so the identity map is an
     isometric isomorphism.
     Distinct otherwise; the recovered groups ride along as evidence.
+    CV_p(G) is the span of the |G| left translations, so an algebra whose
+    dimension is not the order of its component group is not one, and
+    NotGroupLike refuses it before any verdict is named.
     """
     for exponent in (p, q):
         if exponent == 2.0:
@@ -125,6 +128,10 @@ def decide_isomorphism(basis_a: AlgebraBasis, p: float,
             raise POutOfRange("exponents must lie strictly between 1 and infinity")
     rec_a = recover_group(basis_a, p)
     rec_b = recover_group(basis_b, q)
+    for basis, rec in ((basis_a, rec_a), (basis_b, rec_b)):
+        if basis.dimension != rec.group.order:
+            raise NotGroupLike(f"an algebra of dimension {basis.dimension} is not the convolution "
+                               f"algebra of its component group, of order {rec.group.order}")
     witness = is_isomorphic(rec_a.group, rec_b.group)
     if witness is not None and abs(p - q) <= P_MATCH_TOL:
         verdict = "Isomorphic"

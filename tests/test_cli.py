@@ -415,6 +415,21 @@ def test_recover_of_more_classes_than_the_table_budget_exits_4(capsys, tmp_path)
     assert data["kind"] == "budget"
 
 
+def test_decide_on_an_algebra_of_the_wrong_dimension_exits_1(capsys, tmp_path):
+    # M_3 recovers S3, but has dimension 9, and CV_3(S3) has dimension 6
+    m3 = AlgebraBasis(3, 3.0, tuple(np.eye(9).reshape(9, 3, 3)))
+    m3_path = write_json(tmp_path / "m3.json", serialize.algebra_basis_to_json(m3))
+    s3_path = write_json(tmp_path / "s3.json", serialize.algebra_basis_to_json(
+        convolver_algebra(ConvolutionContext(make_symmetric(3), 3.0))))
+    code, data = run(capsys, "recover", m3_path)
+    assert code == 0 and data["group"]["order"] == 6
+    code, data = run(capsys, "decide", m3_path, s3_path)
+    assert code == 1
+    assert data == {"kind": "NotGroupLike",
+                    "error": "an algebra of dimension 9 is not the convolution algebra "
+                             "of its component group, of order 6"}
+
+
 def _cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 

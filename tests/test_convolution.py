@@ -14,6 +14,7 @@ from lpconv.convolution import (ENUM_TOL, AlgebraBasis, ConvolutionContext,
 from lpconv.errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
 from lpconv.groups import (FiniteGroup, make_cyclic, make_dihedral, make_direct_product,
                            make_quaternion, make_symmetric, zoo)
+from lpconv.reconstruction import components
 
 # numerical trouble must end in a verdict or an error, not in a warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -494,6 +495,102 @@ def test_two_generator_route_accepts_on_the_gram_frame(group):
         flat = stacked.reshape(n, -1)
         assert _closed_by_two_generators(np.linalg.svd(flat, full_matrices=False)[2], n)
         assert _closed_by_two_generators(_frame(flat)[2], n)
+
+
+@pytest.mark.parametrize("group, cond, seed", [
+    (make_dihedral(6), 1e8, 0),
+    *((make_direct_product(make_quaternion(), make_cyclic(4)), 1e7, seed) for seed in (1, 5)),
+], ids=["D6 1e8 seed 0", "Q8xZ4 1e7 seed 1", "Q8xZ4 1e7 seed 5"])
+def test_closure_refusal_past_condition_1e6_says_the_frame_cannot_certify(group, cond, seed):
+    # closed spans whose frames, about eps * cond off the span, leave closure
+    # residuals of 1.0e-9 to 2.8e-9 with one BLAS thread or two: still
+    # refused, in the identity check's words
+    n = group.order
+    rng = np.random.default_rng(seed)
+    mats = _presentation(group, rng, _conditioned(n, rng, cond))[0]
+    assert _rejection(AlgebraBasis, n, 3.0, tuple(mats)) == (
+        f"at condition number {cond:.3e} the frame cannot certify that the span "
+        "is closed under products")
+
+
+def test_certified_real_stack_gets_a_float64_frame():
+    # the left translations are 0/1 matrices, so a regular presentation, also
+    # mixed by a real matrix, is a real stack, validated and searched in float64
+    group = make_dihedral(12)
+    rng = np.random.default_rng(0)
+    for mix in (None, _conditioned(24, rng, 1e3)):
+        stacked, supports = _presentation(group, rng, mix)
+        basis = AlgebraBasis(24, 3.0, tuple(stacked))
+        assert [a.dtype for a in (basis._u, basis._s, basis._vh)] == [np.float64] * 3
+        assert all(m.dtype == complex for m in basis.elements)
+        assert {u.perm for u in unitary_group_enumerate(basis, 3.0)} == supports
+        # a complex target is projected as its real and imaginary parts
+        coords = basis.coordinates((2 - 3j) * basis.elements[5] + 1j * basis.elements[7])
+        assert np.allclose(coords, (2 - 3j) * np.eye(24)[5] + 1j * np.eye(24)[7],
+                           rtol=0.0, atol=1e-9)
+        outside = np.zeros((24, 24), dtype=complex)
+        outside[0, 1] = 1j
+        assert basis.coordinates(outside) is None
+
+
+def _complex_frame_stacks():
+    group = make_dihedral(6)
+    one_entry, _ = _presentation(group, np.random.default_rng(0))
+    one_entry[3, 2, 5] += 1e-20j
+    gaussian, _ = _presentation(group, np.random.default_rng(1), _gaussian(12, 1))
+    stacks = [pytest.param(one_entry, id="one imaginary entry"),
+              pytest.param(gaussian, id="complex gaussian")]
+    for cond in (2e6, 1e7):
+        rng = np.random.default_rng(0)
+        stacks.append(pytest.param(_presentation(group, rng, _conditioned(12, rng, cond))[0],
+                                   id=f"condition {cond:g}"))
+    return stacks
+
+
+@pytest.mark.parametrize("stacked", _complex_frame_stacks())
+def test_stack_keeps_a_complex_frame(stacked):
+    basis = AlgebraBasis(12, 3.0, tuple(stacked))
+    assert [a.dtype for a in (basis._u, basis._vh)] == [complex] * 2
+
+
+def _enumerated(basis):
+    """The classes and recovered table of a basis, or the error either raises."""
+    try:
+        classes = unitary_group_enumerate(basis, 3.0)
+        return classes, components(classes)[0].table
+    except (BudgetError, NotGroupLike) as exc:
+        return str(exc), None
+
+
+def test_real_and_complex_frames_of_one_span_agree():
+    # e^{i pi / 7} S = S, so each real closure case and its multiple by
+    # e^{i pi / 7}, which has a complex frame, must get one verdict, one set
+    # of classes (phases to 1e-12) and one recovered table
+    phase = np.exp(1j * np.pi / 7)
+    cases, real_cases = _closure_cases(), 0
+    for name, mats, _, _ in cases:
+        stacked = np.stack([np.asarray(m, dtype=complex) for m in mats])
+        if stacked.imag.any():
+            continue
+        real_cases += 1
+        n = stacked.shape[1]
+        verdicts = [_masked(_rejection(AlgebraBasis, n, 3.0, tuple(s)))
+                    for s in (stacked, phase * stacked)]
+        assert verdicts[0] == verdicts[1], name
+        if verdicts[0] is not None:
+            continue
+        real, rotated = (AlgebraBasis(n, 3.0, tuple(s)) for s in (stacked, phase * stacked))
+        assert (real._vh.dtype, rotated._vh.dtype) == (np.float64, complex), name
+        (classes, table), (rotated_classes, rotated_table) = map(_enumerated, (real, rotated))
+        assert table == rotated_table, name
+        if isinstance(classes, str):
+            assert classes == rotated_classes, name
+            continue
+        assert [(u.perm, u.phase_dim) for u in classes] == \
+            [(u.perm, u.phase_dim) for u in rotated_classes], name
+        assert max(np.max(np.abs(np.subtract(u.phases, v.phases)))
+                   for u, v in zip(classes, rotated_classes)) <= 1e-12, name
+    assert real_cases == len(cases) - 2  # all but the two Gaussian mixes
 
 
 def _count_factorizations(monkeypatch):

@@ -371,6 +371,43 @@ def test_decide_trivial_groups_are_isomorphic_at_unrelated_exponents(p, q):
     assert verdict.verdict == "Distinct" and verdict.witness is None
 
 
+def _s3_on_three_points():
+    """Five of the six 3 x 3 permutation matrices: their span (the sixth is
+    the sum of the even ones less the other odd ones) has dimension 5."""
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1)]
+    return AlgebraBasis(3, 3.0, tuple(np.eye(3)[list(perm)] for perm in perms))
+
+
+def _diagonal(n):
+    return AlgebraBasis(n, 3.0, tuple(np.diag(row) for row in np.eye(n)))
+
+
+@pytest.mark.parametrize("make_a, q, make_b, group_order", [
+    (lambda: full_matrix_algebra(3), 3.0,
+     lambda: convolver_algebra(ConvolutionContext(make_symmetric(3), 3.0)), 6),
+    (_s3_on_three_points, 3.0,
+     lambda: convolver_algebra(ConvolutionContext(make_symmetric(3), 3.0)), 6),
+    (lambda: _diagonal(3), 1.5,
+     lambda: convolver_algebra(ConvolutionContext(make_cyclic(1), 1.5)), 1),
+    (lambda: _diagonal(3), 4.0,
+     lambda: convolver_algebra(ConvolutionContext(make_cyclic(1), 4.0)), 1),
+], ids=["M3 vs CV3(S3)", "S3 on 3 points vs CV3(S3)", "C3 vs CV1.5(Z1)", "C3 vs CV4(Z1)"])
+def test_decide_refuses_an_algebra_of_the_wrong_dimension(make_a, q, make_b, group_order):
+    # an algebra isomorphism preserves dimension, and CV_p(G) has dimension
+    # |G|: an algebra whose component group has another order is not one,
+    # on either side, although recover still reports its component group
+    a, b = make_a(), make_b()
+    assert recover_group(a, 3.0).group.order == group_order
+    message = (f"an algebra of dimension {a.dimension} is not the convolution algebra "
+               f"of its component group, of order {group_order}")
+    with pytest.raises(NotGroupLike) as refused:
+        decide_isomorphism(a, 3.0, b, q)
+    assert str(refused.value) == message
+    with pytest.raises(NotGroupLike) as refused:
+        decide_isomorphism(b, q, a, 3.0)
+    assert str(refused.value) == message
+
+
 def test_decide_rejects_p2():
     g = make_cyclic(2)
     cv = convolver_algebra(ConvolutionContext(g, 3.0))
