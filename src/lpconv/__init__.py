@@ -13,12 +13,12 @@ import importlib
 
 _EXPORTS = {
     "convolution": ("AlgebraBasis", "ConvolutionContext", "PhasedPermutation",
-                    "convolver_algebra", "convolver_basis_exact", "left_regular",
-                    "unitary_group_enumerate"),
+                    "convolver_algebra", "left_regular", "unitary_group_enumerate"),
     "errors": ("AlgebraMismatch", "BudgetError", "LpconvError", "NotGroupLike",
                "NotIsometry", "P2Unsupported", "POutOfRange"),
-    "groups": ("FiniteGroup", "GroupIso", "is_isomorphic", "make_cyclic", "make_dihedral",
-               "make_direct_product", "make_quaternion", "make_symmetric", "zoo"),
+    "groups": ("FiniteGroup", "GroupIso", "convolver_basis_exact", "is_isomorphic",
+               "make_cyclic", "make_dihedral", "make_direct_product", "make_quaternion",
+               "make_symmetric", "zoo"),
     "isometry": ("LampertiForm", "LpContext", "Operator", "clarkson_gap",
                  "lamperti_decompose", "lamperti_distance", "lamperti_operator",
                  "mult_isometry", "norm_witness_disjoint", "split_norm_ratio",

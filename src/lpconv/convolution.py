@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
-from .groups import FiniteGroup
+from .groups import FiniteGroup, convolver_basis_exact
 
 if TYPE_CHECKING:
     from .isometry import LpContext, Operator
@@ -241,36 +241,13 @@ def _closed_by_two_generators(vh: np.ndarray, n: int) -> bool:
     return len(found) == k
 
 
-def convolver_basis_exact(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Exact 0/1 basis of the commutant of the right translations.
-
-    X R_t = R_t X for every t says X[x t, y t] = X[x, y], so the commutant
-    is spanned by the indicator matrices of the orbits of the diagonal right
-    action on G x G, and the orbit of a cell (x, y) is labelled by x y^-1:
-    orbit s holds the cells (s y, y), the left translation by s. Orbits are
-    ordered by their largest cell index x*n + y (the free column of the
-    constraint system's reduced row echelon form). Orbit s meets the last
-    row once, at column s^-1 (n - 1), and that cell is its largest, so
-    position j holds s = (n - 1) j^-1. Returned as row-major nested tuples
-    of 0/1 integers.
-    """
-    n = group.order
-    basis = []
-    for j in range(n):
-        row = group.table[group.mul(n - 1, group.inv(j))]
-        mat = [[0] * n for _ in range(n)]
-        for y in range(n):
-            mat[row[y]][y] = 1
-        basis.append(tuple(map(tuple, mat)))
-    return tuple(basis)
-
-
 def convolver_algebra(ctx: ConvolutionContext) -> AlgebraBasis:
     """The commutant of the right translations as a concrete basis.
 
-    Computed from the exact orbit indicators of convolver_basis_exact; each
-    is a left translation, so the span coincides with the left translations
-    and its dimension is the group order.
+    Computed from the exact orbit indicators of convolver_basis_exact (in
+    lpconv.groups); each is a left translation, so the span coincides with
+    the left translations and its dimension is the group order. The
+    AlgebraBasis re-checks numerically what the group axioms prove.
     """
     mats = tuple(np.array(mat, dtype=complex) for mat in convolver_basis_exact(ctx.group))
     return AlgebraBasis(ctx.group.order, ctx.p, mats)

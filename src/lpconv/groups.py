@@ -4,7 +4,8 @@ A group is a value: a table over element indices 0..order-1 plus the
 identity index. Construction validates the full set of axioms (Latin
 square, identity, and associativity by Light's test on at most log2(order)
 generators, see FiniteGroup; two-sided inverses follow), so any
-FiniteGroup instance can be trusted downstream. Isomorphism testing is exact
+FiniteGroup instance can be trusted downstream; the exact 0/1 basis of the
+translation algebra is built from the table here. Isomorphism testing is exact
 backtracking over generator images, each checked on the Cayley-graph edges
 and pruned by per-element class keys (order, centralizer size, square roots).
 """
@@ -202,6 +203,33 @@ def zoo() -> tuple[tuple[str, FiniteGroup], ...]:
         ("Q8", make_quaternion()),
     ]
     return tuple(entries)
+
+
+def convolver_basis_exact(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Exact 0/1 basis of the commutant of the right translations.
+
+    X R_t = R_t X for every t says X[x t, y t] = X[x, y], so the commutant
+    is spanned by the indicator matrices of the orbits of the diagonal right
+    action on G x G, and the orbit of a cell (x, y) is labelled by x y^-1:
+    orbit s holds the cells (s y, y), the left translation by s. Orbits are
+    ordered by their largest cell index x*n + y (the free column of the
+    constraint system's reduced row echelon form). Orbit s meets the last
+    row once, at column s^-1 (n - 1), and that cell is its largest, so
+    position j holds s = (n - 1) j^-1. Returned as row-major nested tuples
+    of 0/1 integers. The table's axioms prove what a numeric check of the
+    span would: disjoint supports (independence), orbit e is the identity,
+    and L_s L_t = L_st (closure). So it lives here, free of numpy, and
+    `lpconv algebra build` encodes it without building an AlgebraBasis.
+    """
+    n = group.order
+    basis = []
+    for j in range(n):
+        row = group.table[group.mul(n - 1, group.inv(j))]
+        mat = [[0] * n for _ in range(n)]
+        for y in range(n):
+            mat[row[y]][y] = 1
+        basis.append(tuple(map(tuple, mat)))
+    return tuple(basis)
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:

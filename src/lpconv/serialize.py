@@ -113,9 +113,9 @@ def function_to_json(f: MeasurableFunction) -> dict[str, Any]:
             "im": [float(v.imag) for v in f.values]}
 
 
-def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    import numpy as np
-    return [[_complex_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
+def _matrix_to_json(m) -> list[list[list[float]]]:
+    """Rows of numbers, ints or complex alike, as rows of [re, im] pairs."""
+    return [[_complex_pair(v) for v in row] for row in m]
 
 
 def _matrix_from_json(rows) -> np.ndarray:
@@ -142,9 +142,13 @@ def operator_from_json(data) -> Operator:
         raise SchemaError(f"bad operator payload: {exc}") from exc
 
 
+def algebra_to_json(n: int, p: float, elements) -> dict[str, Any]:
+    """The algebra payload of n x n matrices given as rows of numbers."""
+    return {"n": n, "p": float(p), "basis": [_matrix_to_json(m) for m in elements]}
+
+
 def algebra_basis_to_json(basis: AlgebraBasis) -> dict[str, Any]:
-    return {"n": basis.n, "p": float(basis.p),
-            "basis": [_matrix_to_json(m) for m in basis.elements]}
+    return algebra_to_json(basis.n, basis.p, basis.elements)
 
 
 def algebra_basis_from_json(data) -> AlgebraBasis:

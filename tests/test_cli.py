@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from lpconv import cli, serialize
 from lpconv.cli import build_parser, main
 from lpconv.convolution import AlgebraBasis, ConvolutionContext, convolver_algebra
-from lpconv.groups import make_cyclic, make_direct_product, make_symmetric
+from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product, make_quaternion,
+                           make_symmetric, zoo)
 from lpconv.isometry import LpContext
 from lpconv.measure import FiniteMeasureAlgebra
 
@@ -339,7 +340,9 @@ def _cold_run(tmp_path, argv):
     return result["code"], set(result["loaded"])
 
 
-_LIGHT = sorted(leaf for leaf in _LEAVES if leaf[0] in ("group", "measure"))
+# algebra build encodes the exact basis the group table proves, with no numpy
+_LIGHT = sorted(leaf for leaf in _LEAVES
+                if leaf[0] in ("group", "measure") or leaf == ("algebra", "build"))
 
 
 @pytest.mark.parametrize("argv, expected, modules", [
@@ -357,10 +360,9 @@ def test_group_and_measure_commands_start_without_numpy(tmp_path, argv, expected
 @pytest.mark.parametrize("leaf, modules", [
     (("recover",), {"numpy"}),
     (("decide",), {"numpy"}),
-    (("algebra", "build"), {"numpy"}),
     (("norm",), {"numpy", "numpy.random", "lpconv.measure", "lpconv.isometry", "lpconv.pnorm"}),
     (("isom", "decompose"), {"numpy", "lpconv.measure", "lpconv.isometry"}),
-], ids=["recover", "decide", "algebra build", "norm", "isom decompose"])
+], ids=["recover", "decide", "norm", "isom decompose"])
 def test_numeric_commands_leave_the_acceptance_suite_unloaded(tmp_path, leaf, modules):
     code, loaded = _cold_run(tmp_path, [*leaf, *_LEAVES[leaf]])
     assert code == 0
@@ -561,7 +563,8 @@ def test_non_finite_results_end_in_json_errors(capsys, tmp_path):
     # |x|^p overflows at this exponent: the sandwich is not finite
     path = write_json(tmp_path / "op.json", _operator_payload(
         [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], p=1e300))
-    code, data = run(capsys, "norm", path)
+    with pytest.warns(RuntimeWarning):
+        code, data = run(capsys, "norm", path)
     assert code == 1
     assert data["kind"] == "non-finite-result"
 
@@ -737,3 +740,20 @@ def test_algebra_json_round_trip():
     assert back.n == basis.n and back.p == basis.p
     for a, b in zip(back.elements, basis.elements):
         assert np.array_equal(a, b)
+
+
+_BUILD_GROUPS = [*zoo(), ("S4", make_symmetric(4)), ("D8", make_dihedral(8)),
+                 ("Z12", make_cyclic(12)),
+                 ("Q8xZ2", make_direct_product(make_quaternion(), make_cyclic(2)))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in _BUILD_GROUPS], ids=[n for n, _ in _BUILD_GROUPS])
+def test_algebra_build_prints_the_validated_library_basis(capsys, tmp_path, g):
+    # the command encodes the exact basis unchecked; the numerically validated
+    # library route is its oracle, byte for byte
+    path = write_json(tmp_path / "g.json", serialize.group_to_json(g))
+    for p in ("1.5", "3", "4.25"):
+        assert main(["algebra", "build", path, "--p", p]) == 0
+        oracle = serialize.algebra_basis_to_json(
+            convolver_algebra(ConvolutionContext(g, float(p))))
+        assert capsys.readouterr().out == cli._dumps(oracle)

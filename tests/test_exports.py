@@ -13,12 +13,12 @@ import lpconv
 
 EXPORTS = {
     "convolution": ["AlgebraBasis", "ConvolutionContext", "PhasedPermutation",
-                    "convolver_algebra", "convolver_basis_exact", "left_regular",
-                    "unitary_group_enumerate"],
+                    "convolver_algebra", "left_regular", "unitary_group_enumerate"],
     "errors": ["AlgebraMismatch", "BudgetError", "LpconvError", "NotGroupLike", "NotIsometry",
                "P2Unsupported", "POutOfRange"],
-    "groups": ["FiniteGroup", "GroupIso", "is_isomorphic", "make_cyclic", "make_dihedral",
-               "make_direct_product", "make_quaternion", "make_symmetric", "zoo"],
+    "groups": ["FiniteGroup", "GroupIso", "convolver_basis_exact", "is_isomorphic",
+               "make_cyclic", "make_dihedral", "make_direct_product", "make_quaternion",
+               "make_symmetric", "zoo"],
     "isometry": ["LampertiForm", "LpContext", "Operator", "clarkson_gap", "lamperti_decompose",
                  "lamperti_distance", "lamperti_operator", "mult_isometry",
                  "norm_witness_disjoint", "split_norm_ratio", "transform_isometry",
@@ -57,12 +57,25 @@ def test_a_name_outside_the_table_raises_attribute_error(name):
         getattr(lpconv, name)
 
 
-def test_import_lpconv_loads_no_numpy():
+def _loaded_after(probe):
+    """The numpy and lpconv modules that a fresh interpreter holds after probe."""
     src = str(Path(lpconv.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, lpconv; "
-             "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'lpconv'))))")
+    probe += ("; import sys; "
+              "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'lpconv'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "['lpconv']"
+    return out.strip()
+
+
+def test_import_lpconv_loads_no_numpy():
+    assert _loaded_after("import lpconv") == "['lpconv']"
+
+
+@pytest.mark.parametrize("source", ["lpconv.groups", "lpconv"])
+def test_the_exact_translation_basis_loads_no_numpy(source):
+    probe = (f"from {source} import convolver_basis_exact; "
+             "from lpconv.groups import make_symmetric; "
+             "assert len(convolver_basis_exact(make_symmetric(4))) == 24")
+    assert _loaded_after(probe) == "['lpconv', 'lpconv.errors', 'lpconv.groups']"
