@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
 # every handler past the group commands imports its own callees, so a
 # command loads only the modules it runs: a group command, algebra build,
@@ -24,9 +23,6 @@ from .errors import BudgetError, LpconvError
 from .groups import (convolver_basis_exact, is_isomorphic, make_cyclic, make_dihedral,
                      make_direct_product, make_quaternion, make_symmetric)
 from .serialize import SchemaError
-
-if TYPE_CHECKING:
-    from .convolution import AlgebraBasis
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -58,19 +54,6 @@ def _load(path: str):
             return json.load(fh)
         except ValueError as exc:  # not JSON, or an integer literal too long to convert
             raise SchemaError(str(exc)) from exc
-
-
-def _load_enumerable_bases(paths: list[str]) -> list[AlgebraBasis]:
-    """Decode algebra payloads bound for the pattern search, refusing any
-    whose n is over the search's atom cap before a basis is built."""
-    from .convolution import ENUM_ATOM_BUDGET
-    payloads = [_load(path) for path in paths]
-    for data in payloads:
-        n = data.get("n") if isinstance(data, dict) else None
-        # anything but a JSON integer is left for the decoder to report as malformed
-        if type(n) is int and n > ENUM_ATOM_BUDGET:
-            raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
-    return [serialize.algebra_basis_from_json(data) for data in payloads]
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
@@ -196,7 +179,7 @@ def _cmd_algebra_build(args) -> tuple[object, int]:
 
 def _cmd_algebra_unitaries(args) -> tuple[object, int]:
     from .convolution import unitary_group_enumerate
-    basis, = _load_enumerable_bases([args.file])
+    basis = serialize.algebra_basis_from_json(_load(args.file))
     units = unitary_group_enumerate(basis, basis.p)
     return {"count": len(units),
             "classes": [serialize.phased_permutation_to_json(u) for u in units]}, EXIT_OK
@@ -204,13 +187,13 @@ def _cmd_algebra_unitaries(args) -> tuple[object, int]:
 
 def _cmd_recover(args) -> tuple[object, int]:
     from .reconstruction import recover_group
-    basis, = _load_enumerable_bases([args.file])
+    basis = serialize.algebra_basis_from_json(_load(args.file))
     return serialize.recovered_group_to_json(recover_group(basis, basis.p)), EXIT_OK
 
 
 def _cmd_decide(args) -> tuple[object, int]:
     from .reconstruction import decide_isomorphism
-    basis_a, basis_b = _load_enumerable_bases([args.a, args.b])
+    basis_a, basis_b = map(serialize.algebra_basis_from_json, [_load(args.a), _load(args.b)])
     verdict = decide_isomorphism(basis_a, basis_a.p, basis_b, basis_b.p)
     return serialize.verdict_to_json(verdict), EXIT_OK
 

@@ -20,14 +20,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
-from .groups import FiniteGroup, convolver_basis_exact
+from .groups import TABLE_BUDGET, FiniteGroup, convolver_basis_exact
 
 if TYPE_CHECKING:
     from .isometry import LpContext, Operator
 
 # one unit per search SVD or one-row path, each about 0.1 ms of CPU
 ENUM_WORK_BUDGET = 10_000
-ENUM_ATOM_BUDGET = 64
 ENUM_TOL = 1e-9
 
 
@@ -72,7 +71,8 @@ class AlgebraBasis:
     always complex; the frame is float64 when every imaginary part of the
     stack is exactly zero and its Gram certifies it (a regular presentation,
     or any real change of basis of one), and complex otherwise. Every later
-    product keeps the frame's dtype. Past condition 1e6 the frame's error,
+    product keeps the frame's dtype. A closure refusal stops at the pairwise
+    check's first failing left factor. Past condition 1e6 the frame's error,
     about eps * cond, can exceed the 1e-9 bounds, so a refusal there says
     that the frame cannot certify the span.
     """
@@ -191,14 +191,14 @@ def _products_on_frame(products: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray
 
 
 def _check_closure_by_pairs(vh: np.ndarray, n: int) -> None:
-    """Project every product F_a F_b of two of the frame's n x n matrices
-    onto the frame vh, one left factor at a time, so only its k products
-    are held. The residual is relative, so the verdict depends on the span
-    alone, not on the basis that spans it or on its scale."""
+    """Project the products F_a F_b of two of the frame's n x n matrices onto
+    the frame vh, one left factor at a time, so only its k products are
+    held, and refuse at the first factor whose relative residual is 1e-9 or
+    more. The verdict depends on the span alone, not on its basis or scale."""
     frame = vh.reshape(-1, n, n)
-    err = max(_products_on_frame(a @ frame, vh)[1] for a in frame)
-    if err >= 1e-9:
-        raise ValueError(f"basis is not closed under products (residual {err:.3e})")
+    for err in (_products_on_frame(a @ frame, vh)[1] for a in frame):
+        if err >= 1e-9:
+            raise ValueError(f"basis is not closed under products (residual {err:.3e})")
 
 
 def _closed_by_two_generators(vh: np.ndarray, n: int) -> bool:
@@ -405,7 +405,7 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermut
     phase_dim = n - 1); an intermediate dimension would not produce a
     discrete class set and raises NotGroupLike. The search charges one unit
     of ENUM_WORK_BUDGET per SVD and one per one-row path, and raises
-    BudgetError past it.
+    BudgetError past it; more than TABLE_BUDGET atoms raise it up front.
     """
     if p == 2.0:
         raise P2Unsupported(
@@ -414,8 +414,8 @@ def unitary_group_enumerate(basis: AlgebraBasis, p: float) -> tuple[PhasedPermut
     if not (1.0 < p < math.inf):
         raise POutOfRange("enumeration needs p strictly between 1 and infinity")
     n = basis.n
-    if n > ENUM_ATOM_BUDGET:
-        raise BudgetError(f"pattern search capped at {ENUM_ATOM_BUDGET} atoms")
+    if n > TABLE_BUDGET:
+        raise BudgetError(f"pattern search capped at {TABLE_BUDGET} atoms")
 
     # the frame is whole: validation refused a basis whose stack has a
     # singular value at or below 1e-9 of the largest

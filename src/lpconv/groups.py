@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .errors import BudgetError
 
-ISO_BUDGET = 64
 TABLE_BUDGET = 128
+# Cayley-edge steps one isomorphism search may take, about 1.3 s of CPU
+ISO_WORK_BUDGET = 8_000_000
 # the largest n whose symmetric group fits the table budget
 SYMMETRIC_BUDGET = next(n for n in itertools.count(1) if math.factorial(n + 1) > TABLE_BUDGET)
 
@@ -270,6 +271,46 @@ def _class_keys(g: FiniteGroup) -> list[tuple[int, int, int]]:
             for x, (row, col) in enumerate(zip(t, zip(*t)))]
 
 
+class _IsoSearch:
+    """is_isomorphic's backtracking, its state on the instance: no reference cycle."""
+
+    def __init__(self, g: FiniteGroup, h: FiniteGroup, keys_g, keys_h):
+        self.g, self.h, self.keys_g, self.keys_h = g, h, keys_g, keys_h
+        self.gens, self.work = generating_sequence(g), 0
+
+    def search(self, images: list[int]) -> list[int] | None:
+        g, h, gens = self.g, self.h, self.gens
+        mapping = [-1] * g.order
+        mapping[g.identity] = h.identity
+        image, queue = {h.identity}, [g.identity]
+        edges = list(zip(gens, images))
+        for steps, a in enumerate(queue, 1):  # breadth first over the Cayley graph
+            row_a, row_fa = g.table[a], h.table[mapping[a]]
+            for x, y in edges:
+                b, fb = row_a[x], row_fa[y]
+                if mapping[b] < 0 and fb not in image:
+                    mapping[b] = fb
+                    image.add(fb)
+                    queue.append(b)
+                elif mapping[b] != fb:
+                    mapping = None  # not well defined, or not injective
+                    break
+            if mapping is None:
+                break
+        self.work += steps * len(edges)  # the Cayley-edge steps taken
+        if self.work > ISO_WORK_BUDGET:
+            raise BudgetError("isomorphism search exceeded its work budget")
+        if mapping is None or len(images) == len(gens):
+            return mapping
+        x = gens[len(images)]
+        for y in sorted(range(h.order), key=lambda y: (y != x, y)):
+            if self.keys_h[y] == self.keys_g[x] and y not in image:
+                found = self.search(images + [y])
+                if found is not None:
+                    return found
+        return None
+
+
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> GroupIso | None:
     """Exact isomorphism search; returns a witness or None.
 
@@ -280,42 +321,15 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> GroupIso | None:
     one map on <x1..xi>, with f(e) = e and f(a xj) = f(a) yj along every
     Cayley-graph edge. A choice is kept exactly when that map is well
     defined and injective; by induction on word length it is then a
-    homomorphism, so a completed map is an isomorphism.
+    homomorphism, so a completed map is an isomorphism. Orders over
+    TABLE_BUDGET raise BudgetError, as do more than ISO_WORK_BUDGET edge steps.
     """
-    if g.order > ISO_BUDGET or h.order > ISO_BUDGET:
-        raise BudgetError(f"isomorphism search capped at order {ISO_BUDGET}")
+    if g.order > TABLE_BUDGET or h.order > TABLE_BUDGET:
+        raise BudgetError(f"isomorphism search capped at order {TABLE_BUDGET}")
     if g.order != h.order:
         return None
     keys_g, keys_h = _class_keys(g), _class_keys(h)
     if sorted(keys_g) != sorted(keys_h):
         return None
-    gens = generating_sequence(g)
-
-    def search(images):
-        mapping = [-1] * g.order
-        mapping[g.identity] = h.identity
-        image = {h.identity}
-        queue = [g.identity]
-        edges = list(zip(gens, images))
-        for a in queue:  # breadth first over the Cayley graph of <gens[:len(images)]>
-            row_a, row_fa = g.table[a], h.table[mapping[a]]
-            for x, y in edges:
-                b, fb = row_a[x], row_fa[y]
-                if mapping[b] < 0 and fb not in image:
-                    mapping[b] = fb
-                    image.add(fb)
-                    queue.append(b)
-                elif mapping[b] != fb:
-                    return None  # not well defined, or not injective
-        if len(images) == len(gens):
-            return mapping
-        x = gens[len(images)]
-        for y in sorted(range(h.order), key=lambda y: (y != x, y)):
-            if keys_h[y] == keys_g[x] and y not in image:
-                found = search(images + [y])
-                if found is not None:
-                    return found
-        return None
-
-    mapping = search([])
+    mapping = _IsoSearch(g, h, keys_g, keys_h).search([])
     return None if mapping is None else GroupIso(g, h, tuple(mapping))

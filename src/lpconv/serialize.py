@@ -152,11 +152,14 @@ def algebra_basis_to_json(basis: AlgebraBasis) -> dict[str, Any]:
 
 
 def algebra_basis_from_json(data) -> AlgebraBasis:
+    """An algebra basis; an n over TABLE_BUDGET raises BudgetError first."""
     from .convolution import AlgebraBasis
     try:
+        n = _integer(data["n"], "algebra payload: n")
+        if n > TABLE_BUDGET:
+            raise BudgetError(f"algebra payloads are capped at {TABLE_BUDGET} atoms")
         mats = tuple(_matrix_from_json(m) for m in data["basis"])
-        return AlgebraBasis(_integer(data["n"], "algebra payload: n"),
-                            _finite(data["p"], "algebra payload: p"), mats)
+        return AlgebraBasis(n, _finite(data["p"], "algebra payload: p"), mats)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad algebra payload: {exc}") from exc
 

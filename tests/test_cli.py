@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from lpconv import cli, serialize
 from lpconv.cli import build_parser, main
 from lpconv.convolution import AlgebraBasis, ConvolutionContext, convolver_algebra
-from lpconv.groups import (make_cyclic, make_dihedral, make_direct_product, make_quaternion,
-                           make_symmetric, zoo)
+from lpconv.groups import (is_isomorphic, make_cyclic, make_dihedral, make_direct_product,
+                           make_quaternion, make_symmetric, zoo)
 from lpconv.isometry import LpContext
 from lpconv.measure import FiniteMeasureAlgebra
 
@@ -392,19 +392,34 @@ def test_inputs_a_command_does_not_take_are_usage_errors(capsys, tmp_path, argv)
                                   ["algebra", "unitaries", "BIG"]],
                          ids=["recover", "decide", "unitaries"])
 def test_enumeration_cap_is_checked_before_decoding(capsys, tmp_path, monkeypatch, argv):
-    # the cap refuses on the payload's n alone: the basis is never decoded
-    def refuse(data):
-        raise AssertionError("decoded a basis over the enumeration cap")
+    # the decoder refuses on the payload's n alone: none of its matrices is
+    # converted (decide converts SMALL's first)
+    big = [[[1.0, 0.0]]]
+    convert = serialize._matrix_from_json
+
+    def refuse(rows):
+        if rows == big:
+            raise AssertionError("converted a matrix of a basis over the cap")
+        return convert(rows)
 
     small = serialize.algebra_basis_to_json(
         convolver_algebra(ConvolutionContext(make_cyclic(2), 3.0)))
     paths = {"SMALL": write_json(tmp_path / "small.json", small),
-             "BIG": write_json(tmp_path / "big.json",
-                               {"n": 65, "p": 3.0, "basis": [[[[1.0, 0.0]]]]})}
-    monkeypatch.setattr(serialize, "algebra_basis_from_json", refuse)
+             "BIG": write_json(tmp_path / "big.json", {"n": 129, "p": 3.0, "basis": [big]})}
+    monkeypatch.setattr(serialize, "_matrix_from_json", refuse)
     code, data = run(capsys, *[paths.get(a, a) for a in argv])
     assert code == 4
     assert data["kind"] == "budget"
+
+
+def test_recover_takes_an_order_65_payload(capsys, tmp_path):
+    # over the 64-atom cap that the table budget replaced
+    z65 = serialize.group_to_json(make_cyclic(65))
+    code, data = run(capsys, "algebra", "build", write_json(tmp_path / "z65.json", z65))
+    assert code == 0 and data["n"] == 65
+    code, data = run(capsys, "recover", write_json(tmp_path / "cv.json", data))
+    assert code == 0
+    assert is_isomorphic(serialize.group_from_json(data["group"]), make_cyclic(65)) is not None
 
 
 def test_recover_of_more_classes_than_the_table_budget_exits_4(capsys, tmp_path):

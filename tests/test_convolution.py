@@ -307,6 +307,28 @@ def test_two_generator_route_takes_a_gaussian_mixed_order_128_algebra(monkeypatc
     assert AlgebraBasis(128, 3.0, tuple(mats)).dimension == 128
 
 
+@pytest.mark.parametrize("mix", ["orthogonal", "gaussian"])
+def test_closure_refusal_stops_at_the_first_failing_factor(monkeypatch, mix):
+    # one translation moved by 1e-9 times a Gaussian matrix before the mix, so
+    # the identity stays in the span: the two-generator route declines after
+    # its first batch of products, and the pairwise check refuses after its
+    # first left factor instead of forming all k batches
+    batches = []
+    kernel = convolution._products_on_frame
+    monkeypatch.setattr(convolution, "_products_on_frame",
+                        lambda *args: batches.append(1) or kernel(*args))
+    group = make_direct_product(make_quaternion(), make_cyclic(8))
+    n = group.order
+    rng = np.random.default_rng(0)
+    lam, _ = _presentation(group, rng, np.eye(n))
+    lam[1] += 1e-9 * rng.standard_normal((n, n))
+    mixer = _gaussian(n, 0) if mix == "gaussian" else np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mats = np.einsum("ij,jkl->ikl", mixer, lam)
+    assert _masked(_rejection(AlgebraBasis, n, 3.0, tuple(mats))) == \
+        "basis is not closed under products (residual ...)"
+    assert len(batches) == 2
+
+
 @pytest.mark.parametrize("group", [make_dihedral(12),
                                    make_direct_product(make_quaternion(), make_cyclic(4))],
                          ids=["D12", "Q8xZ4"])

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import time
 import types
 
 import pytest
@@ -342,7 +344,8 @@ def test_table_budgets():
 
 
 def test_iso_budget():
-    big = make_cyclic(65)
+    # the makers cap at 128, so the order-129 table is built directly
+    big = FiniteGroup(129, tuple(tuple((i + j) % 129 for j in range(129)) for i in range(129)), 0)
     with pytest.raises(BudgetError):
         is_isomorphic(big, big)
 
@@ -424,6 +427,41 @@ def test_search_alone_refuses_the_order_64_pairs(monkeypatch):
     for g, h in order_64_pairs():
         assert sorted_orders(g) == sorted_orders(h)
         assert is_isomorphic(h, g) is None
+
+
+def test_search_alone_stops_at_the_work_budget_at_order_128(monkeypatch):
+    # times Z2, the first order-64 pair ran for over 11 minutes of CPU with
+    # orders only: the order alone does not bound the backtracking, the budget does
+    orders_only(monkeypatch)
+    z2 = make_cyclic(2)
+    g, h = (make_direct_product(x, z2) for x in order_64_pairs()[0])
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="work budget"):
+        is_isomorphic(g, h)
+    # about 1.3 s of CPU alone; the bound leaves room for a loaded machine
+    assert time.process_time() - start < 4.0
+
+
+def test_order_128_relabelling_gets_a_validated_witness():
+    g = make_direct_product(make_quaternion(), make_cyclic(16))
+    h = relabel(g, random.Random(128).sample(range(128), 128))
+    witness = is_isomorphic(g, h)
+    # GroupIso checks every product of the mapping as it is built
+    assert isinstance(witness, GroupIso) and witness.target is h
+
+
+def test_isomorphism_search_leaves_no_cyclic_garbage():
+    # a search that kept a self-referencing closure would leave its lists
+    # for the cycle collector after every call
+    g = make_direct_product(make_quaternion(), make_cyclic(4))
+    h = relabel(g, random.Random(32).sample(range(32), 32))
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_isomorphic(g, h) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_class_keys_count_centralizers_and_square_roots():
