@@ -25,7 +25,7 @@ _EXPORTS = {
                  "transform_isometry", "vector_norm"),
     "measure": ("BooleanAutomorphism", "ChainRuleReport", "FiniteMeasureAlgebra",
                 "MeasurableFunction", "Valuation", "integrate", "rn_chain_rules",
-                "rn_derivative", "rn_level_set"),
+                "rn_derivative"),
     "pnorm": ("NormEstimate", "pnorm_estimate", "pnorm_genperm_exact"),
     "reconstruction": ("IsoVerdict", "P2DemoReport", "RecoveredGroup", "components",
                        "decide_isomorphism", "p2_degeneracy_demo", "recover_group"),

@@ -602,6 +602,34 @@ def test_measure_check_rn(capsys, tmp_path):
     assert data["max_deviation"] < 1e-12
 
 
+def _underflow_files(tmp_path, command):
+    """Payloads whose derivative sigma / mu is 1e-300 / 1e300 at atom 0,
+    below the least subnormal."""
+    tiny = write_json(tmp_path / "s.json", {"weights": [1e-300, 1.0]})
+    huge = write_json(tmp_path / "m.json", {"weights": [1e300, 1.0]})
+    return [tiny, huge] if command == "rnd" else [huge, tiny, huge]
+
+
+_UNDERFLOW = {"error": "the derivative underflows to 0 at atom 0", "kind": "ValueError"}
+
+
+@pytest.mark.parametrize("command", ["rnd", "check-rn"])
+def test_an_underflowing_derivative_ends_in_a_json_error(capsys, tmp_path, command):
+    code, data = run(capsys, "measure", command, *_underflow_files(tmp_path, command))
+    assert (code, data) == (1, _UNDERFLOW)
+
+
+def test_an_underflowing_derivative_is_refused_under_optimization(tmp_path):
+    # python -O strips assert statements; the refusal must not depend on them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "lpconv.cli", "measure", "rnd",
+                           *_underflow_files(tmp_path, "rnd")],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, json.loads(proc.stdout)) == (1, _UNDERFLOW)
+
+
 def test_isom_decompose_and_distance(capsys, tmp_path):
     a = write_json(tmp_path / "a.json", _operator_payload(_pairs([[0.0, 1j], [1.0, 0.0]])))
     b = write_json(tmp_path / "b.json", _operator_payload(_pairs(np.eye(2))))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from lpconv.errors import AlgebraMismatch, POutOfRange
 from lpconv.isometry import LpContext, vector_norm
 from lpconv.measure import (BooleanAutomorphism, FiniteMeasureAlgebra,
                             MeasurableFunction, Valuation, integrate,
-                            rn_chain_rules, rn_derivative, rn_level_set)
+                            rn_chain_rules, rn_derivative)
 
 positive = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
 
@@ -97,29 +98,53 @@ def test_derivative_equals_atomwise_ratio_exactly(pair):
 
 
 def brute_force_level_set(sigma, mu, t):
-    """sup of the downward-hereditary family, by enumerating all subsets."""
+    """sup of the downward-hereditary family {a : sigma(b) <= t mu(b) for all
+    b in a}, by enumerating all subsets, in exact rational arithmetic."""
     n = sigma.algebra.atoms
     atoms = range(n)
+
+    def mass(v, subset):
+        return sum((Fraction(v.atom_values[x]) for x in subset), Fraction(0))
+
     best: set[int] = set()
     for r in range(n + 1):
         for subset in itertools.combinations(atoms, r):
-            if all(_mass(sigma, sub) <= t * _mass(mu, sub)
+            if all(mass(sigma, sub) <= t * mass(mu, sub)
                    for k in range(len(subset) + 1)
                    for sub in itertools.combinations(subset, k)):
                 best |= set(subset)
     return frozenset(best)
 
 
+def _assert_derivative_is_least_level_set_threshold(sigma, mu):
+    """At each atom the derivative is the least exact ratio whose level set
+    holds the atom, rounded once: float division rounds correctly."""
+    d = rn_derivative(sigma, mu)
+    ratios = sorted({Fraction(s) / Fraction(m)
+                     for s, m in zip(sigma.atom_values, mu.atom_values)})
+    level_sets = [(t, brute_force_level_set(sigma, mu, t)) for t in ratios]
+    for x in range(sigma.algebra.atoms):
+        least = min(t for t, level_set in level_sets if x in level_set)
+        assert d.values[x] == float(least)
+
+
 def test_level_set_matches_subset_brute_force():
     algebra = FiniteMeasureAlgebra((1.0, 2.0, 0.5, 1.5))
-    mu = algebra.mu()
-    sigma = Valuation(algebra, (0.9, 2.6, 1.1, 0.4))
-    ratios = sorted(s / m for s, m in zip(sigma.atom_values, mu.atom_values))
-    grid = [ratios[0] / 2]
-    grid += [(a + b) / 2 for a, b in zip(ratios, ratios[1:])]
-    grid += [ratios[-1] * 2]
-    for t in grid:
-        assert rn_level_set(sigma, mu, t) == brute_force_level_set(sigma, mu, t)
+    _assert_derivative_is_least_level_set_threshold(
+        Valuation(algebra, (0.9, 2.6, 1.1, 0.4)), algebra.mu())
+
+
+@given(valuation_pairs(max_size=6))
+def test_drawn_derivatives_are_least_level_set_thresholds(pair):
+    algebra, sigma = pair
+    _assert_derivative_is_least_level_set_threshold(sigma, algebra.mu())
+
+
+def test_underflowing_derivative_raises():
+    algebra = FiniteMeasureAlgebra((1.0, 1e300, 1.0))
+    sigma = Valuation(algebra, (2.0, 1e-300, 1.0))
+    with pytest.raises(ValueError, match="underflows to 0 at atom 1"):
+        rn_derivative(sigma, algebra.mu())
 
 
 def test_band_inequality_over_all_subsets():
