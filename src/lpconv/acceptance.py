@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .convolution import (ConvolutionContext, convolver_algebra,
                           convolver_basis_exact, left_regular)
-from .errors import P2Unsupported
+from .errors import Frozen, P2Unsupported
 from .groups import FiniteGroup, generating_sequence, is_isomorphic, zoo
 from .isometry import (LampertiForm, LpContext, Operator, clarkson_gap,
                        lamperti_decompose, lamperti_distance, lamperti_operator,
@@ -32,8 +31,7 @@ from .reconstruction import decide_isomorphism, p2_degeneracy_demo, recover_grou
 P_GRID = (1.2, 1.5, 3.0, 4.0)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Frozen):
     index: int
     name: str
     passed: bool

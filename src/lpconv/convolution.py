@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
+from .errors import BudgetError, Frozen, NotGroupLike, P2Unsupported, POutOfRange
 from .groups import TABLE_BUDGET, FiniteGroup, convolver_basis_exact
 
 if TYPE_CHECKING:
@@ -30,8 +29,7 @@ ENUM_WORK_BUDGET = 10_000
 ENUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ConvolutionContext:
+class ConvolutionContext(Frozen):
     """A finite group acting on itself, with counting measure and an exponent."""
 
     group: FiniteGroup
@@ -60,8 +58,7 @@ def left_regular(ctx: ConvolutionContext, s: int) -> Operator:
     return Operator(ctx.lp_context(), m)
 
 
-@dataclass(frozen=True)
-class AlgebraBasis:
+class AlgebraBasis(Frozen):
     """Linearly independent matrices whose span is unital and closed under products.
 
     Validation keeps an SVD u diag(s) vh of the stacked, flattened matrices,
@@ -80,9 +77,9 @@ class AlgebraBasis:
     n: int
     p: float
     elements: tuple[np.ndarray, ...]
-    _u: np.ndarray = field(init=False, repr=False, compare=False)
-    _s: np.ndarray = field(init=False, repr=False, compare=False)
-    _vh: np.ndarray = field(init=False, repr=False, compare=False)
+    _u: np.ndarray
+    _s: np.ndarray
+    _vh: np.ndarray
 
     def __post_init__(self):
         if not self.elements:
@@ -253,8 +250,7 @@ def convolver_algebra(ctx: ConvolutionContext) -> AlgebraBasis:
     return AlgebraBasis(ctx.group.order, ctx.p, mats)
 
 
-@dataclass(frozen=True)
-class PhasedPermutation:
+class PhasedPermutation(Frozen):
     """A generalized permutation matrix class: perm[y] is the supported row
     of column y and phases[y] the entry there, stored modulo a global
     unimodular scalar (canonical representatives have phases[0] = 1).

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .errors import BudgetError
+from .errors import BudgetError, Frozen
 
 TABLE_BUDGET = 128
 # Cayley-edge steps one isomorphism search may take, about 1.3 s of CPU
@@ -25,8 +24,7 @@ ISO_WORK_BUDGET = 8_000_000
 SYMMETRIC_BUDGET = next(n for n in itertools.count(1) if math.factorial(n + 1) > TABLE_BUDGET)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A validated group table. Associativity is checked by Light's test:
     (xg)y = x(gy) for all x, y and each g in generating_sequence. It is
     complete: let B be the b with (xb)y = x(by) for all x, y. For b1, b2 in B,
@@ -80,8 +78,7 @@ class FiniteGroup:
         return k
 
 
-@dataclass(frozen=True)
-class GroupIso:
+class GroupIso(Frozen):
     """A witnessing isomorphism: mapping[x] is the image of x in the target."""
 
     source: FiniteGroup

@@ -14,11 +14,10 @@ certifies that 2 (norm_witness_disjoint, split_norm_ratio).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlgebraMismatch, NotIsometry, P2Unsupported, POutOfRange
+from .errors import AlgebraMismatch, Frozen, NotIsometry, P2Unsupported, POutOfRange
 from .measure import BooleanAutomorphism, FiniteMeasureAlgebra, MeasurableFunction
 
 DECOMPOSE_TOL = 1e-9
@@ -26,8 +25,7 @@ UNIMODULAR_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class LpContext:
+class LpContext(Frozen):
     """A finite measure algebra together with an exponent in [1, inf)."""
 
     algebra: FiniteMeasureAlgebra
@@ -69,8 +67,7 @@ def _unimodular_defect(values) -> float:
     return max((abs(abs(v) - 1.0) for v in values), default=0.0)
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Frozen):
     """A dense complex matrix acting on value-per-atom vectors."""
 
     context: LpContext
@@ -96,8 +93,7 @@ class Operator:
         return Operator(self.context, self.matrix - other.matrix)
 
 
-@dataclass(frozen=True)
-class LampertiForm:
+class LampertiForm(Frozen):
     """A unimodular phase function together with an atom permutation."""
 
     f: MeasurableFunction

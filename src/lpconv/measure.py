@@ -7,13 +7,11 @@ least threshold whose level set holds the atom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, Frozen
 
 
-@dataclass(frozen=True)
-class FiniteMeasureAlgebra:
+class FiniteMeasureAlgebra(Frozen):
     """Atoms 0..n-1 carrying strictly positive reference weights."""
 
     weights: tuple[float, ...]
@@ -34,8 +32,7 @@ class FiniteMeasureAlgebra:
         return Valuation(self, self.weights)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Frozen):
     """A strictly positive, additive set function, stored atom by atom."""
 
     algebra: FiniteMeasureAlgebra
@@ -49,8 +46,7 @@ class Valuation:
                 raise ValueError("valuations must be strictly positive and finite")
 
 
-@dataclass(frozen=True)
-class MeasurableFunction:
+class MeasurableFunction(Frozen):
     """A complex value per atom."""
 
     algebra: FiniteMeasureAlgebra
@@ -76,8 +72,7 @@ class MeasurableFunction:
                                   tuple(a - b for a, b in zip(self.values, other.values)))
 
 
-@dataclass(frozen=True)
-class BooleanAutomorphism:
+class BooleanAutomorphism(Frozen):
     """An atom permutation, acting on functions and valuations."""
 
     algebra: FiniteMeasureAlgebra
@@ -132,8 +127,7 @@ def integrate(f: MeasurableFunction, mu: Valuation) -> complex:
     return sum(v * m for v, m in zip(f.values, mu.atom_values))
 
 
-@dataclass(frozen=True)
-class ChainRuleReport:
+class ChainRuleReport(Frozen):
     product_deviation: float
     push_deviation: float
 

@@ -20,11 +20,10 @@ xi -> w^(1/p) * xi before iterating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POutOfRange
+from .errors import Frozen, POutOfRange
 from .isometry import LpContext, Operator, _reduce, vector_norm
 
 BOYD_TOL = 1e-10
@@ -35,8 +34,7 @@ _TINY = np.finfo(float).tiny
 _LIFTS = 10.0 ** -np.arange(16.0)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(Frozen):
     """A certified sandwich around an operator norm.
 
     The witness attains the lower bound: |A witness|_p / |witness|_p equals

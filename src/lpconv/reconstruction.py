@@ -12,14 +12,13 @@ group the algebra came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .convolution import (AlgebraBasis, ConvolutionContext, PhasedPermutation,
                           convolver_algebra, left_regular,
                           unitary_group_enumerate)
-from .errors import BudgetError, NotGroupLike, P2Unsupported, POutOfRange
+from .errors import BudgetError, Frozen, NotGroupLike, P2Unsupported, POutOfRange
 from .groups import (TABLE_BUDGET, FiniteGroup, GroupIso, is_isomorphic, make_cyclic,
                      make_direct_product)
 
@@ -75,8 +74,7 @@ def components(unitaries) -> tuple[FiniteGroup, tuple[PhasedPermutation, ...]]:
     return FiniteGroup(m, table, 0), tuple(reps[p] for p in perms)
 
 
-@dataclass(frozen=True)
-class RecoveredGroup:
+class RecoveredGroup(Frozen):
     """A component group together with one isometry class per element."""
 
     group: FiniteGroup
@@ -95,8 +93,7 @@ def recover_group(basis: AlgebraBasis, p: float) -> RecoveredGroup:
     return RecoveredGroup(group, reps)
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(Frozen):
     verdict: str  # "Isomorphic" | "AntiIsomorphic" | "Distinct"
     p: float
     q: float
@@ -145,8 +142,7 @@ def decide_isomorphism(basis_a: AlgebraBasis, p: float,
     return IsoVerdict(verdict, p, q, rec_a.group, rec_b.group, witness)
 
 
-@dataclass(frozen=True)
-class P2DemoReport:
+class P2DemoReport(Frozen):
     """Evidence that exponent 2 cannot tell the two order-4 groups apart."""
 
     samples: int

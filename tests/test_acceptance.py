@@ -1,13 +1,12 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from lpconv import acceptance
 from lpconv.groups import make_symmetric
+from lpconv.pnorm import NormEstimate
 
 SEED = 0
 
@@ -65,7 +64,10 @@ def test_criteria_fail_on_a_broken_engine(small, monkeypatch, index, shift, end,
 
     def broken(*args, **kwargs):
         est = real(*args, **kwargs)
-        return dataclasses.replace(est, **{end: getattr(est, end) + sign * shift})
+        bounds = {"lower": est.lower, "upper": est.upper}
+        bounds[end] += sign * shift
+        return NormEstimate(**bounds, witness=est.witness, iterations=est.iterations,
+                            converged=est.converged)
 
     monkeypatch.setattr(acceptance, "pnorm_estimate", broken)
     assert not acceptance.ALL_CRITERIA[index - 1](SEED).passed

@@ -322,7 +322,7 @@ from lpconv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 heavy = ("numpy", "numpy.random", "lpconv.acceptance", "lpconv.measure", "lpconv.isometry",
-         "lpconv.pnorm")
+         "lpconv.pnorm", "dataclasses", "inspect")
 print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
 """
 
@@ -340,7 +340,8 @@ def _cold_run(tmp_path, argv):
     return result["code"], set(result["loaded"])
 
 
-# algebra build encodes the exact basis the group table proves, with no numpy
+# algebra build encodes the exact basis the group table proves, with no numpy;
+# no command loads dataclasses, and inspect arrives only with numpy
 _LIGHT = sorted(leaf for leaf in _LEAVES
                 if leaf[0] in ("group", "measure") or leaf == ("algebra", "build"))
 
@@ -358,10 +359,11 @@ def test_group_and_measure_commands_start_without_numpy(tmp_path, argv, expected
 
 
 @pytest.mark.parametrize("leaf, modules", [
-    (("recover",), {"numpy"}),
-    (("decide",), {"numpy"}),
-    (("norm",), {"numpy", "numpy.random", "lpconv.measure", "lpconv.isometry", "lpconv.pnorm"}),
-    (("isom", "decompose"), {"numpy", "lpconv.measure", "lpconv.isometry"}),
+    (("recover",), {"numpy", "inspect"}),
+    (("decide",), {"numpy", "inspect"}),
+    (("norm",), {"numpy", "numpy.random", "lpconv.measure", "lpconv.isometry", "lpconv.pnorm",
+                 "inspect"}),
+    (("isom", "decompose"), {"numpy", "lpconv.measure", "lpconv.isometry", "inspect"}),
 ], ids=["recover", "decide", "norm", "isom decompose"])
 def test_numeric_commands_leave_the_acceptance_suite_unloaded(tmp_path, leaf, modules):
     code, loaded = _cold_run(tmp_path, [*leaf, *_LEAVES[leaf]])
